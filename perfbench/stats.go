@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"syscall"
@@ -47,33 +48,24 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
-// chunkQuantiles splits xs, in measurement order, into consecutive chunks
-// of size samples (a short tail joins the last chunk), takes each quantile
-// of each chunk, and returns the median of each quantile over the chunks.
-// A burst of interference from outside the process then moves one chunk,
-// not the result. Each chunk must meet the percentile rule on its own.
-func chunkQuantiles(xs []float64, size int, qs ...float64) ([]float64, int, error) {
-	n := max(1, len(xs)/size)
-	per := make([][]float64, len(qs))
-	for c := 0; c < n; c++ {
-		lo, hi := c*size, (c+1)*size
-		if c == n-1 {
-			hi = len(xs)
+// fastestFrames returns, for each frame index, the least time that frame
+// took over reps, the frame times of replications that all computed the
+// same frames. A frame the host interrupted in some replications then
+// counts at its time in the others.
+func fastestFrames(reps [][]float64) ([]float64, error) {
+	if len(reps) == 0 {
+		return nil, fmt.Errorf("frame times of no replications")
+	}
+	out := slices.Clone(reps[0])
+	for r, xs := range reps[1:] {
+		if len(xs) != len(out) {
+			return nil, fmt.Errorf("replication %d has %d frames, replication 0 has %d", r+1, len(xs), len(out))
 		}
-		chunk := append([]float64(nil), xs[lo:hi]...)
-		for i, q := range qs {
-			v, _, err := quantile(chunk, q)
-			if err != nil {
-				return nil, n, err
-			}
-			per[i] = append(per[i], v)
+		for i, x := range xs {
+			out[i] = min(out[i], x)
 		}
 	}
-	out := make([]float64, len(qs))
-	for i := range qs {
-		out[i] = median(per[i])
-	}
-	return out, n, nil
+	return out, nil
 }
 
 // tally counts attempted and failed operations. A failed operation errored,

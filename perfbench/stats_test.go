@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,30 +38,29 @@ func TestQuantilePercentileRule(t *testing.T) {
 	}
 }
 
-func TestChunkQuantiles(t *testing.T) {
-	// Three chunks of 100: two calm (1..100 ms) and one hit by a burst of
-	// interference (every sample +1000 ms). The medians over chunks follow
-	// the calm chunks; pooled percentiles would not.
-	var xs []float64
-	for c := 0; c < 3; c++ {
-		for i := 1; i <= 100; i++ {
-			v := float64(i)
-			if c == 1 {
-				v += 1000
-			}
-			xs = append(xs, v)
-		}
+func TestFastestFramesSkipInterruptedRepeats(t *testing.T) {
+	// Three repeats of the same four frames; each repeat has one frame
+	// slowed by 1000 ms, a different one each time. Every frame keeps its
+	// own time.
+	want := []float64{1, 2, 3, 4}
+	var reps [][]float64
+	for r := 0; r < 3; r++ {
+		xs := slices.Clone(want)
+		xs[r] += 1000
+		reps = append(reps, xs)
 	}
-	qs, n, err := chunkQuantiles(xs, 100, 0.5, 0.9)
-	if err != nil || n != 3 || qs[0] != 50 || qs[1] != 90 {
-		t.Fatalf("chunkQuantiles = %v over %d chunks (err %v), want [50 90] over 3", qs, n, err)
+	got, err := fastestFrames(reps)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("fastestFrames = %v (err %v), want %v", got, err, want)
 	}
-	// A short tail joins the last chunk; too few samples for a p90 fail.
-	if _, n, err := chunkQuantiles(xs[:250], 100, 0.9); err != nil || n != 2 {
-		t.Fatalf("250 samples in chunks of 100: %d chunks, err %v; want 2", n, err)
+	if !slices.Equal(reps[0], []float64{1001, 2, 3, 4}) {
+		t.Fatalf("fastestFrames changed its input: %v", reps[0])
 	}
-	if _, _, err := chunkQuantiles(xs[:50], 100, 0.9); err == nil {
-		t.Fatal("p90 of a 50-sample chunk passed the rule")
+	if _, err := fastestFrames([][]float64{{1, 2}, {1}}); err == nil {
+		t.Fatal("replications of different lengths were accepted")
+	}
+	if _, err := fastestFrames(nil); err == nil {
+		t.Fatal("no replications were accepted")
 	}
 }
 

@@ -116,23 +116,21 @@ func (g *gate) finish(res *result) {
 	}
 }
 
-// minReps is the fewest replications a timed sim run makes, and keptReps
-// how many of them the figures come from: enough for frame_ms.p90 to have
-// at least 100 frames and setup_s several samples, with one spare city
-// replication and half the metro ones to drop.
+// minReps is the fewest replications a timed sim run makes: keptPerSeed of
+// each metro scenario seed, and one spare city replication.
 func minReps(workload string) int {
 	if workload == "city" {
-		return 4
+		return keptPerSeed + 1
 	}
-	return 8
+	return 4 * keptPerSeed
 }
 
-func keptReps(workload string, ran int) int {
-	if workload == "city" {
-		return 3
-	}
-	return max(8, ran/2)
-}
+// keptPerSeed is how many replications of each scenario seed the frame
+// figures come from, the ones with the least host CPU steal. Three city
+// replications hold the 105 frames a p90 needs; on metro a fixed count
+// keeps every frame time the fastest of the same number of repeats, however
+// many replications the budget allowed.
+const keptPerSeed = 3
 
 // quietest returns the n replications during which the host stole the
 // least CPU time, in run order. A virtual machine's host can take a fifth
@@ -187,11 +185,15 @@ func timedSim(o options) (result, error) {
 		runs = append(runs, r)
 		spent += time.Since(t0)
 	}
-	kept := quietest(runs, keptReps(o.workload, len(runs)))
-	if err := reportRuns(&res, kept, len(seeds)); err != nil {
+	bySeed := make([][]simRun, len(seeds))
+	for i, r := range runs {
+		bySeed[i%len(seeds)] = append(bySeed[i%len(seeds)], r)
+	}
+	kept, err := reportRuns(&res, o.workload, bySeed)
+	if err != nil {
 		return res, err
 	}
-	res.note("kept the %d of %d replications with the least host CPU steal (at most %.1f%%)", len(kept), len(runs), 100*maxSteal(kept))
+	res.note("kept the %d of %d replications with the least host CPU steal per scenario seed (at most %.1f%%)", len(kept), len(runs), 100*maxSteal(kept))
 	g.finish(&res)
 	res.set("ok_ratio", 1-g.t.failRatio())
 	return res, nil
@@ -205,31 +207,62 @@ func maxSteal(runs []simRun) float64 {
 	return m
 }
 
-// reportRuns sets the frame-loop metrics of the timed replications.
-func reportRuns(res *result, runs []simRun, seeds int) error {
-	var setups, fps, frames, heaps []float64
-	for _, r := range runs {
-		setups = append(setups, r.setup.Seconds())
-		fps = append(fps, float64(len(r.frameMS))/r.wall.Seconds())
-		frames = append(frames, r.frameMS...)
-		heaps = append(heaps, mb(r.heapPeak))
+// reportRuns sets the frame-loop metrics from the replications of each
+// scenario seed and returns the ones the frame figures were taken from.
+//
+// Every replication of a scenario seed computes the same frames, bit for
+// bit, so a frame's time is the fastest of its repeats in the seed's kept
+// replications: the host can make a repeat slower by taking its CPU, never
+// faster. frames_per_s and, on metro, frame_ms.p50 and .p90 come from these
+// frame times. A city seed has too few frames for a p90 of them, so its
+// quantiles pool the frames of its kept replications.
+func reportRuns(res *result, workload string, bySeed [][]simRun) ([]simRun, error) {
+	var kept []simRun
+	var setups, heaps, times, pooled []float64
+	for _, runs := range bySeed {
+		for _, r := range runs {
+			setups = append(setups, r.setup.Seconds())
+		}
+		var reps [][]float64
+		for _, r := range quietest(runs, keptPerSeed) {
+			kept = append(kept, r)
+			heaps = append(heaps, mb(r.heapPeak))
+			reps = append(reps, r.frameMS)
+			pooled = append(pooled, r.frameMS...)
+		}
+		fastest, err := fastestFrames(reps)
+		if err != nil {
+			return nil, err
+		}
+		times = append(times, fastest...)
 	}
-	// One chunk per replication where a replication has the 100 frames a
-	// p90 needs (metro); otherwise the replications pool into one (city).
-	size := max(len(runs[0].frameMS), 100)
-	qs, chunks, err := chunkQuantiles(frames, size, 0.5, 0.9)
+	total := 0.0
+	for _, t := range times {
+		total += t
+	}
+	what := fmt.Sprintf("the same %d frame times", len(times))
+	frames := times
+	if workload == "city" {
+		what = fmt.Sprintf("the %d frames of the %d kept replications, pooled", len(pooled), len(kept))
+		frames = pooled
+	}
+	p50, _, err := quantile(frames, 0.5)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	p90, _, err := quantile(frames, 0.9)
+	if err != nil {
+		return nil, err
 	}
 	res.set("setup_s", median(setups))
-	res.set("frames_per_s", median(fps))
-	res.set("frame_ms.p50", qs[0])
-	res.set("frame_ms.p90", qs[1])
+	res.set("frames_per_s", 1000*float64(len(times))/total)
+	res.set("frame_ms.p50", p50)
+	res.set("frame_ms.p90", p90)
 	res.set("heap_peak_mb", median(heaps))
-	res.note("frame_ms: %d frames from %d replications over %d scenario seeds; p50 and p90 are medians over %d chunks of >= %d frames",
-		len(frames), len(runs), seeds, chunks, size)
-	res.note("frames_per_s, setup_s and heap_peak_mb (each replication's peak) are medians over replications")
-	return nil
+	res.note("frames_per_s: %d frame times over %d scenario seeds, each the fastest of %d repeats", len(times), len(bySeed), keptPerSeed)
+	res.note("frame_ms: p50 and p90 of %s", what)
+	res.note("setup_s is the median over all %d replications, heap_peak_mb (each replication's peak) over the kept ones", len(setups))
+	return kept, nil
 }
 
 // users returns the data and voice user counts of cfg's layout.
