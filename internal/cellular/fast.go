@@ -116,7 +116,7 @@ func PilotSetLinearInto(dst []PilotMeasurement, gains []float64, pilotFraction, 
 	} else {
 		dst = dst[:0]
 		for k, g := range gains {
-			dst = append(dst, PilotMeasurement{Cell: k, EcIo: scale * g})
+			dst = append(dst, PilotMeasurement{Cell: int32(k), Slot: int32(k), EcIo: scale * g})
 		}
 	}
 	for i := 1; i < len(dst); i++ {
@@ -144,7 +144,7 @@ func ActiveSetLinearInto(dst []int, pilots []PilotMeasurement, addFactor, minEcI
 			continue
 		}
 		if p.EcIo >= threshold {
-			dst = append(dst, p.Cell)
+			dst = append(dst, int(p.Cell))
 		}
 	}
 	return dst

@@ -143,8 +143,15 @@ func (l *Layout) String() string {
 }
 
 // PilotMeasurement is the strength of one cell's pilot as seen by a mobile.
+// Cell is the global cell index; Slot is the index of the gain the entry
+// was formed from in the caller's gain row — the cell itself on a full
+// scan, the cell's position in the candidate list on a window — so later
+// per-frame passes read the gain without searching for it. Both are int32
+// to keep the entry at 32 bytes: a city keeps ~100k users' pilot sets
+// resident.
 type PilotMeasurement struct {
-	Cell   int
+	Cell   int32
+	Slot   int32
 	EcIo   float64 // linear Ec/Io (pilot chip energy over total received density)
 	EcIoDB float64
 	GainDB float64 // link gain (path loss + shadowing) used to form the pilot
@@ -175,7 +182,8 @@ func PilotSetInto(dst []PilotMeasurement, gains []float64, pilotFraction, txPowe
 		ec := pilotFraction * txPower * g
 		ecio := ec / total
 		dst = append(dst, PilotMeasurement{
-			Cell:   k,
+			Cell:   int32(k),
+			Slot:   int32(k),
 			EcIo:   ecio,
 			EcIoDB: 10 * math.Log10(math.Max(ecio, 1e-30)),
 			GainDB: 10 * math.Log10(math.Max(g, 1e-30)),
@@ -215,7 +223,7 @@ func ActiveSetInto(dst []int, pilots []PilotMeasurement, addThresholdDB, minEcIo
 			continue
 		}
 		if best-p.EcIoDB <= addThresholdDB {
-			dst = append(dst, p.Cell)
+			dst = append(dst, int(p.Cell))
 		}
 	}
 	return dst
@@ -238,8 +246,8 @@ func ReducedActiveSetInto(dst []int, pilots []PilotMeasurement, activeSet []int)
 	dst = dst[:0]
 	for _, p := range pilots { // pilots already sorted by strength
 		for _, c := range activeSet {
-			if c == p.Cell {
-				dst = append(dst, p.Cell)
+			if c == int(p.Cell) {
+				dst = append(dst, c)
 				break
 			}
 		}

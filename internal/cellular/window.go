@@ -50,9 +50,10 @@ func (l *Layout) DistancesSqForInto(p Point, cells []int32, dst []float64) {
 }
 
 // FindCell returns the slot of a global cell index within an ascending
-// candidate list, or -1 when the cell is outside the window. Binary search:
-// candidate windows are small but this runs per (user, reduced-set cell)
-// per frame.
+// candidate list, or -1 when the cell is outside the window (binary
+// search). The per-frame kernels never need it — every PilotMeasurement
+// carries its slot — so it serves one-off lookups such as restoring slots
+// after a checkpoint is decoded.
 func FindCell(cells []int32, cell int32) int {
 	lo, hi := 0, len(cells)
 	for lo < hi {
@@ -71,9 +72,9 @@ func FindCell(cells []int32, cell int32) int {
 
 // PilotSetCellsInto is PilotSetInto restricted to a candidate window: the
 // Io total sums the window's cells only, each measurement carries the
-// GLOBAL cell index from cells[i], and the result is sorted by decreasing
-// Ec/Io with the same insertion sort. Used by the exact (dB-domain)
-// windowed physics path.
+// GLOBAL cell index from cells[i] and its slot i, and the result is sorted
+// by decreasing Ec/Io with the same insertion sort. Used by the exact
+// (dB-domain) windowed physics path.
 func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
 	total := noise
 	for _, g := range gains {
@@ -84,7 +85,8 @@ func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, p
 		ec := pilotFraction * txPower * g
 		ecio := ec / total
 		dst = append(dst, PilotMeasurement{
-			Cell:   int(cells[i]),
+			Cell:   cells[i],
+			Slot:   int32(i),
 			EcIo:   ecio,
 			EcIoDB: 10 * math.Log10(math.Max(ecio, 1e-30)),
 			GainDB: 10 * math.Log10(math.Max(g, 1e-30)),
@@ -101,12 +103,13 @@ func PilotSetCellsInto(dst []PilotMeasurement, cells []int32, gains []float64, p
 // PilotSetCellsLinearInto is PilotSetLinearInto restricted to a candidate
 // window (linear domain, EcIoDB/GainDB left zero). Like the full-scan
 // version it is frame-coherent: when dst already holds one entry per
-// candidate the new Ec/Io values are written into last frame's order (the
-// slot of each retained entry found by binary search over the ascending
-// candidate list) and the insertion sort only repairs one frame of drift.
-// After a retarget the caller must reslice dst to length zero — the stale
-// entries may name cells no longer in the window; a stale entry is detected
-// and triggers a full rebuild, so results stay correct either way.
+// candidate the new Ec/Io values are written into last frame's order, each
+// read straight from the entry's Slot, and the insertion sort only repairs
+// one frame of drift. An entry whose slot no longer names its cell in
+// cells — dst was built over another window, or by a caller that did not
+// set Slot — fails a one-compare check and triggers a full rebuild, so a
+// stale or foreign dst still gives correct results. After a retarget the
+// caller should reslice dst to length zero to skip the failed pass.
 func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []float64, pilotFraction, txPower, noise float64) []PilotMeasurement {
 	total := noise
 	for _, g := range gains {
@@ -116,8 +119,8 @@ func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []floa
 	if len(dst) == len(cells) {
 		ok := true
 		for i := range dst {
-			s := FindCell(cells, int32(dst[i].Cell))
-			if s < 0 {
+			s := int(uint32(dst[i].Slot)) // a negative slot fails the range test
+			if s >= len(cells) || cells[s] != dst[i].Cell {
 				ok = false
 				break
 			}
@@ -134,7 +137,7 @@ func PilotSetCellsLinearInto(dst []PilotMeasurement, cells []int32, gains []floa
 	}
 	dst = dst[:0]
 	for i, g := range gains {
-		dst = append(dst, PilotMeasurement{Cell: int(cells[i]), EcIo: scale * g})
+		dst = append(dst, PilotMeasurement{Cell: cells[i], Slot: int32(i), EcIo: scale * g})
 	}
 	for i := 1; i < len(dst); i++ {
 		for j := i; j > 0 && dst[j-1].EcIo < dst[j].EcIo; j-- {

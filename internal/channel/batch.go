@@ -67,11 +67,11 @@ func (b *Batch) Cells() int { return b.cells }
 
 // SeedUser derives user u's per-cell shadowing substreams as parent.Split(
 // base+k) for k = 0..cells-1, the same order the scalar engine splits its
-// per-cell Shadowing sources, and copies them into the batch by value.
+// per-cell Shadowing sources, and writes them into the batch in place.
 func (b *Batch) SeedUser(u int, parent *rng.Source, base uint64) {
 	off := u * b.cells
 	for k := 0; k < b.cells; k++ {
-		b.src[off+k] = *parent.Split(base + uint64(k))
+		parent.SplitInto(&b.src[off+k], base+uint64(k))
 	}
 }
 

@@ -60,8 +60,17 @@ func (r *Source) Reseed(seed uint64) {
 // repeated Split calls with the same index after the same parent history are
 // reproducible.
 func (r *Source) Split(index uint64) *Source {
-	mix := r.Uint64() ^ (index * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03
-	return New(mix)
+	var child Source
+	r.SplitInto(&child, index)
+	return &child
+}
+
+// SplitInto is Split writing the child stream into dst instead of
+// allocating it, for callers that keep their sources by value in a slab.
+// It consumes the same parent draw, so it leaves the parent and produces
+// the child exactly as Split does.
+func (r *Source) SplitInto(dst *Source, index uint64) {
+	dst.Reseed(r.Uint64() ^ (index * 0x9e3779b97f4a7c15) ^ 0xd1b54a32d192ed03)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -55,6 +55,25 @@ func TestSplitReproducible(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit pins SplitInto to Split: the same parent
+// history yields the same child and leaves the parent in the same state,
+// whatever dst held before (here a used source with a cached spare).
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	pa, pb := New(11), New(11)
+	dst := New(3)
+	dst.StdNormal() // leaves a cached Box-Muller spare
+	for i := uint64(0); i < 50; i++ {
+		want := pa.Split(i)
+		pb.SplitInto(dst, i)
+		if *dst != *want {
+			t.Fatalf("index %d: SplitInto %+v, Split %+v", i, *dst, *want)
+		}
+		if *pa != *pb {
+			t.Fatalf("index %d: parents diverged", i)
+		}
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {

@@ -134,7 +134,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, u := range e.users {
 		cw.Int(len(u.pilots))
 		for _, pm := range u.pilots {
-			cw.Int(pm.Cell)
+			cw.Int(int(pm.Cell))
 			cw.F64(pm.EcIo)
 			cw.F64(pm.EcIoDB)
 			cw.F64(pm.GainDB)
@@ -406,10 +406,24 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		}
 		u.pilots = u.pilots[:0]
 		for i := 0; i < np; i++ {
+			cell := rd.Int()
+			if cell < 0 || cell >= nCells {
+				rd.Fail("user %d pilot names cell %d, cells %d", u.id, cell, nCells)
+				break
+			}
+			// The slot is not stored: it is the cell itself on a full scan
+			// and the cell's position in the (already decoded) candidate row
+			// on a window. A cell missing from the row gets slot -1, which
+			// the next pilot update treats as stale and rebuilds from.
+			slot := cell
+			if e.winB != nil {
+				slot = cellular.FindCell(u.cand, int32(cell))
+			}
 			// Keyed composite-literal operands evaluate in lexical order, so
-			// the four reads land in the fields they were written from.
+			// the three reads land in the fields they were written from.
 			u.pilots = append(u.pilots, cellular.PilotMeasurement{
-				Cell:   rd.Int(),
+				Cell:   int32(cell),
+				Slot:   int32(slot),
 				EcIo:   rd.F64(),
 				EcIoDB: rd.F64(),
 				GainDB: rd.F64(),

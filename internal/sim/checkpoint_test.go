@@ -216,6 +216,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				if eB.Frame() != k {
 					t.Fatalf("k=%d: resumed engine reports frame %d", k, eB.Frame())
 				}
+				checkPilotSlots(t, eB, k)
 				mB, err := eB.Run(context.Background())
 				if err != nil {
 					t.Fatalf("k=%d: resumed Run: %v", k, err)
@@ -235,6 +236,28 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkPilotSlots asserts, on a windowed engine, that every pilot entry's
+// slot names its own cell in the user's candidate row. Checkpoints do not
+// store slots, so this is what Resume must restore.
+func checkPilotSlots(t *testing.T, e *Engine, k int) {
+	t.Helper()
+	if e.winB == nil {
+		return
+	}
+	n := 0
+	for _, u := range e.users {
+		for _, p := range u.pilots {
+			if s := int(p.Slot); s < 0 || s >= len(u.cand) || u.cand[s] != p.Cell {
+				t.Fatalf("k=%d: user %d: pilot of cell %d has slot %d, candidates %v", k, u.id, p.Cell, p.Slot, u.cand)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatalf("k=%d: resumed windowed engine holds no pilots", k)
 	}
 }
 

@@ -424,6 +424,19 @@ func (e *Engine) populate() {
 	} else {
 		e.chanB = channel.NewBatch(nData, nCells, e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
 	}
+	// The per-user measurement buffers are carved from two slabs at their
+	// steady-state capacity — one pilot per gain-row slot, at most three
+	// active-set cells — so the first frame does not regrow every user's
+	// slices. Each slice's capacity is capped at its own span, so a growing
+	// append copies out instead of running into the next user's.
+	width := e.chanB.Cells()
+	pilotSlab := make([]cellular.PilotMeasurement, nData*width)
+	const setCap = 3
+	setSlab := make([]int, nData*3*setCap)
+	set := func(uid, i int) []int {
+		off := (3*uid + i) * setCap
+		return setSlab[off : off : off+setCap]
+	}
 	uid := 0
 	for c := 0; c < nCells; c++ {
 		for i := 0; i < e.cfg.DataUsersPerCell; i++ {
@@ -437,15 +450,19 @@ func (e *Engine) populate() {
 			dataSrc := userSrc.Split(3)
 			e.chanB.SeedUser(uid, userSrc, 10)
 			u := &dataUser{
-				id:       uid,
-				gain:     e.chanB.GainRow(uid),
-				bucket:   -1,
-				source:   traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
-				macM:     mac.MustNewMachine(e.cfg.MAC),
-				fchPower: load.MakeVec(3),
-				revFCHRx: load.MakeVec(3),
-				revPilot: load.MakeVec(3),
-				scrm:     load.MakeVec(measurement.SCRMMaxPilots),
+				id:          uid,
+				gain:        e.chanB.GainRow(uid),
+				pilots:      pilotSlab[uid*width : uid*width : (uid+1)*width],
+				active:      set(uid, 0),
+				reduced:     set(uid, 1),
+				prevReduced: set(uid, 2),
+				bucket:      -1,
+				source:      traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
+				macM:        mac.MustNewMachine(e.cfg.MAC),
+				fchPower:    load.MakeVec(3),
+				revFCHRx:    load.MakeVec(3),
+				revPilot:    load.MakeVec(3),
+				scrm:        load.MakeVec(measurement.SCRMMaxPilots),
 			}
 			if e.winB != nil {
 				u.cand = e.winB.CellRow(uid)
@@ -703,7 +720,7 @@ func (e *Engine) finishMeasurements(u *dataUser) {
 	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
 	if len(u.reduced) == 0 {
 		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, u.pilots[0].Cell)
+		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
 	}
 	u.hostCell = u.reduced[0]
 
@@ -1114,7 +1131,7 @@ func (e *Engine) gatherCell(k int, s *admitScratch, loads []float64) bool {
 				if i >= measurement.SCRMMaxPilots {
 					break
 				}
-				u.scrm.Set(pm.Cell, pm.EcIo)
+				u.scrm.Set(int(pm.Cell), pm.EcIo)
 			}
 			s.rev = append(s.rev, measurement.ReverseRequest{
 				UserID:       u.id,

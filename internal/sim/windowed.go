@@ -8,11 +8,13 @@ package sim
 // (channel.Window carries the shadowing state of cells that stay). All
 // downstream admission code is untouched: pilots, active and reduced sets
 // carry global cell indices exactly as before; only the gain lookups here
-// go through the slot map. When the window covers every cell (PilotCells >=
-// the cell count) the candidate list is the identity, Retarget no-ops after
-// the first frame and the arithmetic — including the order of the Io and
-// interference summations — is bit-identical to the full-scan paths, which
-// TestWindowedFullWidthIdentity locks in.
+// go through the window slots, which each pilot entry carries beside its
+// cell so no per-frame pass searches the candidate list. When the window
+// covers every cell (PilotCells >= the cell count) the candidate list is
+// the identity, Retarget no-ops after the first frame and the arithmetic —
+// including the order of the Io and interference summations — is
+// bit-identical to the full-scan paths, which TestWindowedFullWidthIdentity
+// locks in.
 
 import (
 	"math"
@@ -49,7 +51,7 @@ func (e *Engine) updateUserExactWin(u *dataUser, dt float64) {
 	}
 	pos := e.mobB.Position(u.id)
 	if e.retargetWindow(u, pos) {
-		u.pilots = u.pilots[:0] // stale slots: next PilotSet call rebuilds
+		u.pilots = u.pilots[:0] // stale slots: the next pilot update rebuilds
 	}
 	e.layout.DistancesForInto(pos, u.cand, e.chanB.DistRow(u.id))
 	e.chanB.AdvanceExact(u.id, travelled)
@@ -95,37 +97,48 @@ func (e *Engine) updateUserFastWin(u *dataUser, dt float64) {
 }
 
 // finishMeasurementsWin is finishMeasurements with the gain lookups routed
-// through the slot map: the interference total sums the window's cells only
-// (ascending cell order, like the full scan restricted to the window) and
-// each reduced-set cell's gain is found by binary search over the candidate
-// list. Reduced-set cells are always in the window — they come from the
-// window's own pilot set.
+// through the window slots: the interference total sums the window's cells
+// only (ascending cell order, like the full scan restricted to the window)
+// and each reduced-set cell's gain is read through the Slot of its pilot
+// entry. Reduced-set cells are always in the window — they come from the
+// window's own pilot set — and the pilot update has just checked or rebuilt
+// every slot against u.cand.
 func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
 	if len(u.reduced) == 0 {
 		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, u.pilots[0].Cell)
+		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
 	}
 	u.hostCell = u.reduced[0]
 
+	// The reduced set lists pilots in pilot order (at most two of them), so
+	// one forward pass over the pilots finds each one's slot.
+	var slots [2]int32
+	for i, j := 0, 0; j < len(u.reduced); i++ {
+		if int(u.pilots[i].Cell) == u.reduced[j] {
+			slots[j] = u.pilots[i].Slot
+			j++
+		}
+	}
+	hostSlot := int(slots[0])
+
 	// Downlink geometry over the window: serving-cell power over other-cell
 	// interference plus noise, with neighbours at nominal activity.
-	host := int32(u.hostCell)
 	interference := e.cfg.NoiseW
-	for s, c := range u.cand {
-		if c == host {
+	for s, g := range u.gain {
+		if s == hostSlot {
 			continue
 		}
-		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * u.gain[s]
+		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * g
 	}
-	hostGain := u.gain[cellular.FindCell(u.cand, host)]
+	hostGain := u.gain[hostSlot]
 	u.geometry = e.cfg.MaxCellPowerW * hostGain / interference
 	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
 
 	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
 	u.fchPower.Reset()
-	for _, k := range u.reduced {
-		g := u.gain[cellular.FindCell(u.cand, int32(k))]
+	for j, k := range u.reduced {
+		g := u.gain[slots[j]]
 		req := e.ebioTarget * interference / (g * e.fchPG)
 		u.fchPower.Set(k, math.Min(req, cap))
 	}
@@ -133,8 +146,8 @@ func (e *Engine) finishMeasurementsWin(u *dataUser) {
 	nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
 	revTx := e.ebioTarget * nominalL / (hostGain * e.fchPG)
 	u.revFCHRx.Reset()
-	for _, k := range u.reduced {
-		g := u.gain[cellular.FindCell(u.cand, int32(k))]
+	for j, k := range u.reduced {
+		g := u.gain[slots[j]]
 		u.revFCHRx.Set(k, revTx*g/e.cfg.NoiseW)
 	}
 
