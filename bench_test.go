@@ -343,10 +343,13 @@ func BenchmarkForwardRegion(b *testing.B) {
 }
 
 // BenchmarkDynamicSimulationFrameRate measures whole-replication cost and
-// reports the achieved frame rate ("frames/sec") for two presets: the quick
-// unit-test scenario and the contended metro scenario (37 small cells, 30
-// data + 12 voice users per cell) whose frame rate is the headline number
-// of the batched-physics optimisation.
+// reports the achieved frame rate ("frames/sec") for the quick unit-test
+// scenario and the contended metro scenario (37 small cells, 30 data + 12
+// voice users per cell) whose frame rate is the headline number of the
+// batched-physics optimisation. metro runs the default sequential frame
+// mode, which never builds a worker pool; metro-snapshot runs the same map
+// in snapshot mode on two frame workers, so the pooled physics pass and
+// the parallel cell solves are what it measures.
 func BenchmarkDynamicSimulationFrameRate(b *testing.B) {
 	quick := sim.DefaultConfig()
 	quick.Rings = 1
@@ -363,10 +366,14 @@ func BenchmarkDynamicSimulationFrameRate(b *testing.B) {
 	metro.SimTime = 1
 	metro.WarmupTime = 0.25
 
+	metroSnap := metro
+	metroSnap.FrameMode = sim.FrameSnapshot
+	metroSnap.FrameParallel = 2
+
 	for _, sc := range []struct {
 		name string
 		cfg  sim.Config
-	}{{"quick", quick}, {"metro", metro}} {
+	}{{"quick", quick}, {"metro", metro}, {"metro-snapshot", metroSnap}} {
 		b.Run(sc.name, func(b *testing.B) {
 			cfg := sc.cfg
 			frames := int(math.Ceil(cfg.SimTime / cfg.FrameLength))

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string) error {
 		seed        = fs.Uint64("seed", 0, "base random seed (override when non-zero)")
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
-		framePar    = fs.Int("frameparallel", -1, "snapshot-mode solve workers: 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's")
+		framePar    = fs.Int("frameparallel", -1, "snapshot-mode frame workers (physics pass and cell solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's")
 		tiles       = fs.Int("tiles", -1, "snapshot-mode tile count (cell-span ownership for the solve fan-out): 0 = untiled, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
@@ -196,7 +196,7 @@ func run(ctx context.Context, args []string) error {
 
 	if *cpuProfile != "" {
 		if workers := profileWorkers(cfg, *reps); workers > 1 {
-			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d snapshot solve workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
+			fmt.Fprintf(os.Stderr, "jabasim: warning: -cpuprofile with %d snapshot frame workers spreads frame-loop samples across pool goroutines; rerun with -frameparallel 1 for a flat single-stack profile\n", workers)
 		}
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -393,7 +393,7 @@ func runReplay(path, scheduler, outPath string) error {
 	return nil
 }
 
-// profileWorkers returns the number of snapshot-mode solve workers the run
+// profileWorkers returns the number of snapshot-mode frame workers the run
 // will actually use, so -cpuprofile can warn when the profile will be spread
 // over a worker pool: 0 in sequential mode, the resolved pool size in
 // snapshot mode (FrameParallel 0 = auto resolves to GOMAXPROCS unless an

@@ -511,6 +511,11 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 			rd.Fail("burst %d names unknown user %d", i, uid)
 			break
 		}
+		if u.serving != nil {
+			// A user has at most one outstanding request, so at most one burst.
+			rd.Fail("burst %d names user %d, which already has a burst", i, uid)
+			break
+		}
 		b := &burst{
 			user:           u,
 			ratio:          rd.Int(),
@@ -522,6 +527,7 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 		}
 		b.load.DecodeState(rd)
 		e.bursts = append(e.bursts, b)
+		u.serving = b
 	}
 
 	if err := rd.Section("metrics"); err != nil {

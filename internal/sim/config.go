@@ -205,12 +205,12 @@ type Config struct {
 	// snapshot (paper-faithful, intra-frame independent) admission; empty
 	// means sequential.
 	FrameMode FrameMode
-	// FrameParallel bounds the snapshot-mode solve-phase workers: 1 runs
-	// the phase inline without a pool, larger values size the pool, and 0
-	// means auto — GOMAXPROCS for a single run, but inline when an outer
-	// replication/sweep fan-out already saturates the CPUs (see
-	// ResolveFrameParallel). It never affects the results and is ignored
-	// in sequential mode.
+	// FrameParallel bounds the snapshot-mode frame workers, which run the
+	// per-user physics pass and the cell solves: 1 runs both inline without
+	// a pool, larger values size the pool, and 0 means auto — GOMAXPROCS for
+	// a single run, but inline when an outer replication/sweep fan-out
+	// already saturates the CPUs (see ResolveFrameParallel). It never
+	// affects the results and is ignored in sequential mode.
 	FrameParallel int
 	// Tiles shards the hex grid into that many contiguous tiles (see
 	// internal/shard): each tile owns its cells' queues, warm solver clone,

@@ -59,6 +59,10 @@ type burst struct {
 	servedBits     float64
 	serviceTime    float64
 	grantedAt      float64
+	// instBP is this frame's instantaneous VTAOC throughput (bits per
+	// symbol), set by the physics pass (updateUsers) once set-up has elapsed
+	// and read by serveBursts.
+	instBP float64
 }
 
 // dataUser is one packet-data mobile. Its physics state — position, fast
@@ -92,6 +96,10 @@ type dataUser struct {
 	queuedReq  *traffic.BurstRequest
 	queuedCell int
 	firstGrant bool
+	// serving is the user's ongoing burst, nil when none: set by commitCell
+	// and on checkpoint resume, cleared by completeBurst. It is derived from
+	// e.bursts and never serialised.
+	serving *burst
 
 	fchPower  load.Vec // forward FCH power per reduced-set cell (W), rebuilt per frame
 	revFCHRx  load.Vec // reverse FCH received power per cell (W), rebuilt per frame
@@ -166,9 +174,10 @@ type Engine struct {
 	// cells and frames so the admission loop does not allocate.
 	admitScratch admitScratch
 
-	// Snapshot frame mode state, nil/empty in sequential mode: the solve
-	// phase's worker pool (nil when FrameParallel == 1), the per-worker
-	// scratch, and the per-frame active-cell and grant buffers.
+	// Snapshot frame mode state, nil/empty in sequential mode: the worker
+	// pool of the physics pass and the solve phase (nil when FrameParallel
+	// == 1), the per-worker scratch, and the per-frame active-cell and grant
+	// buffers.
 	pool    *stream.Pool
 	workers []*frameWorker
 	active  []int
@@ -377,9 +386,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // initFrameWorkers sets up the snapshot mode's worker pool and per-worker
-// state. FrameParallel == 1 keeps the solve phase inline (no pool, no
-// goroutines) but still runs the snapshot semantics through worker 0, so
-// the output is identical to any other worker count.
+// state. FrameParallel == 1 keeps the physics pass and the solve phase
+// inline (no pool, no goroutines) but still runs the snapshot semantics
+// through worker 0, so the output is identical to any other worker count.
 func (e *Engine) initFrameWorkers(cl core.Cloner) {
 	n := 1
 	if e.cfg.FrameParallel != 1 {
@@ -527,7 +536,6 @@ func (e *Engine) step() {
 	}
 	e.applyFaults()
 	e.applyLoadStep()
-	e.updateVoice(dt)
 	e.updateUsers(dt)
 	e.migrateQueued()
 	e.generateTraffic(dt)
@@ -551,30 +559,6 @@ func (e *Engine) applyLoadStep() {
 		u.source.SetMeanReadingTime(ls.ReadingTimeSec)
 	}
 	e.loadStepDone = true
-}
-
-// updateVoice advances voice activity and positions. Each voice user's new
-// state is a pure function of its own previous state, so the tiled engine
-// fans the loop over the worker pool in chunks (a city preset carries tens
-// of thousands of voice users and the per-user scan would otherwise be a
-// serial Amdahl residue); elsewhere the loop stays sequential, preserving
-// the legacy paths bit for bit.
-func (e *Engine) updateVoice(dt float64) {
-	if e.tiles != nil && e.pool != nil {
-		const chunk = 64
-		n := (len(e.voice) + chunk - 1) / chunk
-		e.pool.Run(n, func(_, task int) {
-			lo := task * chunk
-			hi := min(lo+chunk, len(e.voice))
-			for _, v := range e.voice[lo:hi] {
-				e.advanceVoice(v, dt)
-			}
-		})
-		return
-	}
-	for _, v := range e.voice {
-		e.advanceVoice(v, dt)
-	}
 }
 
 // advanceVoice advances one voice user. The serving cell is a pure function
@@ -612,27 +596,52 @@ func (e *Engine) advanceVoice(v *voiceUser, dt float64) {
 	}
 }
 
-// updateUsers advances mobility, channel state, pilot sets and MAC state for
-// every data user. Each user's new state is a pure function of its own
-// previous state (own mobility model, own fading and shadowing streams), so
-// in snapshot mode the updates fan out in chunks over the worker pool and
-// the result is identical to the sequential loop.
+// updateUsers is the frame's physics pass: it advances every voice user,
+// then every data user (mobility, channel state, pilot sets, MAC state and
+// the serving burst's instantaneous throughput). Each user's new state is a
+// pure function of its own previous state and of the fault mask applyFaults
+// fixed for the frame, so with a pool the pass runs as one dispatch — voice
+// chunks first, data chunks after — and the result is identical to the
+// sequential loop.
 func (e *Engine) updateUsers(dt float64) {
 	if e.pool == nil {
+		for _, v := range e.voice {
+			e.advanceVoice(v, dt)
+		}
 		for _, u := range e.users {
-			e.updateUser(u, dt)
+			e.advanceData(u, dt)
 		}
 		return
 	}
-	const chunk = 32
-	n := (len(e.users) + chunk - 1) / chunk
-	e.pool.Run(n, func(_, task int) {
-		lo := task * chunk
-		hi := min(lo+chunk, len(e.users))
-		for _, u := range e.users[lo:hi] {
-			e.updateUser(u, dt)
+	const voiceChunk, dataChunk = 64, 32
+	nv := (len(e.voice) + voiceChunk - 1) / voiceChunk
+	nd := (len(e.users) + dataChunk - 1) / dataChunk
+	e.pool.Run(nv+nd, func(_, task int) {
+		if task < nv {
+			lo := task * voiceChunk
+			for _, v := range e.voice[lo:min(lo+voiceChunk, len(e.voice))] {
+				e.advanceVoice(v, dt)
+			}
+			return
+		}
+		lo := (task - nv) * dataChunk
+		for _, u := range e.users[lo:min(lo+dataChunk, len(e.users))] {
+			e.advanceData(u, dt)
 		}
 	})
+}
+
+// advanceData advances one data user and, when its burst is past set-up,
+// evaluates the burst's instantaneous VTAOC throughput on the user's fast
+// fading. No phase between this pass and serveBursts changes the burst's
+// set-up time, the user's mean CSI or the frame time, so serveBursts sees
+// exactly the value it would have computed itself.
+func (e *Engine) advanceData(u *dataUser, dt float64) {
+	e.updateUser(u, dt)
+	if b := u.serving; b != nil && b.setupRemaining <= 0 {
+		instCSI := u.meanCSIdB + mathx.DB(math.Max(e.fadeB.PowerAt(u.id, e.now), 1e-12))
+		b.instBP = e.phy.Throughput(instCSI)
+	}
 }
 
 // updateUser advances one data user by one frame: position, per-cell gain,
@@ -799,7 +808,7 @@ func (e *Engine) accumulateLoads() {
 		e.loads.Fill(e.cfg.CommonOverheadFrac * e.cfg.MaxCellPowerW)
 		for _, v := range e.voice {
 			// cell < 0 is the pre-first-frame sentinel; step() always runs
-			// updateVoice before the loads are accumulated.
+			// the physics pass before the loads are accumulated.
 			if v.model.Active() && v.cell >= 0 {
 				e.loads.Add(v.cell, e.cfg.VoiceChannelW)
 			}
@@ -829,7 +838,8 @@ func (e *Engine) accumulateLoads() {
 	}
 }
 
-// serveBursts delivers bits on the active bursts and retires completed ones.
+// serveBursts delivers bits on the active bursts, at the throughput the
+// physics pass evaluated, and retires completed ones in burst order.
 func (e *Engine) serveBursts(dt float64) {
 	remaining := e.bursts[:0]
 	for _, b := range e.bursts {
@@ -840,10 +850,9 @@ func (e *Engine) serveBursts(dt float64) {
 			remaining = append(remaining, b)
 			continue
 		}
-		// Instantaneous VTAOC throughput rides the fast fading.
-		instCSI := u.meanCSIdB + mathx.DB(math.Max(e.fadeB.PowerAt(u.id, e.now), 1e-12))
-		bp := e.phy.Throughput(instCSI)
-		rate := e.cfg.RatePlan.SCHBitRate(b.ratio, bp)
+		// Instantaneous VTAOC throughput rides the fast fading; the physics
+		// pass evaluated it.
+		rate := e.cfg.RatePlan.SCHBitRate(b.ratio, b.instBP)
 		delivered := rate * dt
 		if delivered > b.remaining {
 			delivered = b.remaining
@@ -889,6 +898,7 @@ func (e *Engine) completeBurst(b *burst) {
 		}
 	}
 	u.queuedReq = nil
+	u.serving = nil
 	u.source.BurstDone()
 	u.macM.Touch(e.now)
 }
@@ -1256,6 +1266,7 @@ func (e *Engine) commitCell(k int, queue *traffic.Queue, users []*dataUser, rati
 			grantedAt:      e.now,
 		}
 		e.bursts = append(e.bursts, b)
+		u.serving = b
 		e.loads.AddVec(granted)
 		if e.now >= e.cfg.WarmupTime {
 			e.metrics.AssignedRatio.Add(float64(m))

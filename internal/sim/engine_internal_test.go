@@ -104,7 +104,6 @@ func TestUpdateUsersProducesConsistentState(t *testing.T) {
 
 func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 	e := newTestEngine(t, nil)
-	e.updateVoice(e.cfg.FrameLength)
 	e.updateUsers(e.cfg.FrameLength)
 	e.accumulateLoads()
 	minOverhead := e.cfg.CommonOverheadFrac * e.cfg.MaxCellPowerW
@@ -129,7 +128,6 @@ func TestAccumulateLoadsForwardIncludesOverheadAndFCH(t *testing.T) {
 
 func TestAccumulateLoadsReverseStartsAtNoiseFloor(t *testing.T) {
 	e := newTestEngine(t, func(c *Config) { c.Direction = Reverse })
-	e.updateVoice(e.cfg.FrameLength)
 	e.updateUsers(e.cfg.FrameLength)
 	e.accumulateLoads()
 	for k, load := range e.loads.Values() {
@@ -213,8 +211,9 @@ func TestServeBurstsCompletesAndReleasesUser(t *testing.T) {
 
 // TestFrameHotPathStaysAllocationFree pins the point of the dense cell-load
 // ledgers: once the per-user buffers have reached steady state, the
-// measurement side of the frame loop (channel state, pilot sets, FCH
-// ledgers, load accumulation) performs no allocations at all.
+// measurement side of the frame loop (the physics pass over voice and data
+// users with its serving-burst throughput, then load accumulation) performs
+// no allocations at all.
 func TestFrameHotPathStaysAllocationFree(t *testing.T) {
 	e := newTestEngine(t, nil)
 	// Warm up: the first frames grow the per-user buffers to capacity.
@@ -224,7 +223,6 @@ func TestFrameHotPathStaysAllocationFree(t *testing.T) {
 	}
 	dt := e.cfg.FrameLength
 	allocs := testing.AllocsPerRun(20, func() {
-		e.updateVoice(dt)
 		e.updateUsers(dt)
 		e.accumulateLoads()
 	})
@@ -299,6 +297,7 @@ func admitModes(t *testing.T, mutate func(*Config), fn func(t *testing.T, e *Eng
 			}
 			for _, u := range e.users {
 				u.queuedReq = nil
+				u.serving = nil
 			}
 			e.bursts = e.bursts[:0]
 			fn(t, e)
