@@ -35,6 +35,15 @@ import (
 	"jabasd/internal/serve"
 )
 
+// Connection timeouts. Request headers must arrive promptly, so a client
+// that trickles them cannot hold a connection open; idle keep-alive
+// connections are reaped after a minute. No read or write timeout is set:
+// job streams legitimately stay open for the life of a job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -75,7 +84,11 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	fmt.Fprintf(os.Stderr, "jabaserve: listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)

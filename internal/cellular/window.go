@@ -42,8 +42,15 @@ func (l *Layout) DistancesForInto(p Point, cells []int32, dst []float64) {
 
 // DistancesSqForInto fills dst[i] with the SQUARED distance from p to
 // candidate cell cells[i], identically to DistancesSqInto restricted to the
-// subset.
+// subset. cells must be ascending and unique, as every candidate window
+// is; a list as long as the layout is then the identity, and that case
+// runs the batched DistancesSqInto, which hoists the wrap half-widths out
+// of the loop.
 func (l *Layout) DistancesSqForInto(p Point, cells []int32, dst []float64) {
+	if len(cells) == len(l.Cells) {
+		l.DistancesSqInto(p, dst)
+		return
+	}
 	for i, k := range cells {
 		dst[i] = l.DistanceSq(p, int(k))
 	}

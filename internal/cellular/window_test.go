@@ -31,6 +31,40 @@ func checkSlots(t *testing.T, what string, pilots []PilotMeasurement, cells []in
 	}
 }
 
+// TestWindowDistancesMatchPerCell pins the candidate distance kernels to
+// the per-cell Distance and DistanceSq calls, bit for bit, on the identity
+// list (where DistancesSqForInto takes the batched whole-layout kernel) and
+// on narrower windows.
+func TestWindowDistancesMatchPerCell(t *testing.T) {
+	src := rng.New(5)
+	for _, wrap := range []bool{false, true} {
+		l := NewHexLayout(3, 1000, wrap)
+		n := l.NumCells()
+		ident := make([]int32, n)
+		for k := range ident {
+			ident[k] = int32(k)
+		}
+		w, h := l.Bounds()
+		d := make([]float64, n)
+		d2 := make([]float64, n)
+		for trial := 0; trial < 200; trial++ {
+			p := Point{X: src.Uniform(0, w), Y: src.Uniform(0, h)}
+			cells := ident
+			if trial%2 == 1 {
+				cells = randomWindow(src, n, 1+src.Intn(n-1))
+			}
+			l.DistancesForInto(p, cells, d)
+			l.DistancesSqForInto(p, cells, d2)
+			for i, k := range cells {
+				if d[i] != l.Distance(p, int(k)) || d2[i] != l.DistanceSq(p, int(k)) {
+					t.Fatalf("wrap=%v window of %d: cell %d got (%v, %v), want (%v, %v)",
+						wrap, len(cells), k, d[i], d2[i], l.Distance(p, int(k)), l.DistanceSq(p, int(k)))
+				}
+			}
+		}
+	}
+}
+
 // TestPilotSetCellsLinearCoherentMatchesRebuild is the frame-coherent
 // window kernel's property test: whatever dst it is handed — last frame's
 // set under gain drift, a set built over another window, one shortened by a

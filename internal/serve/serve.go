@@ -20,6 +20,8 @@
 //	GET    /v1/jobs/{id}/result finished result (409 while unfinished; ?format=json|csv)
 //	GET    /v1/jobs/{id}/stream follow progress rows (CSV; NDJSON or SSE via Accept/?format)
 //	POST   /v1/oracle           one frame's admission problem → the paper's grants
+//
+// Both POST bodies are capped at 1 MiB; a larger one is answered 413.
 package serve
 
 import (
@@ -371,6 +373,29 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps the request body of POST /v1/jobs and /v1/oracle. The
+// largest real payloads are admission problems of a few kilobytes (one
+// city-preset frame's busiest cell is under 10 KB), so 1 MiB leaves ample
+// room while keeping a hostile body from being buffered whole.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, capped at maxBodyBytes, into v. On
+// failure it writes the error response — 413 when the cap was exceeded, 400
+// otherwise, prefixed by what — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "%s: body exceeds %d bytes", what, tooBig.Limit)
+	} else {
+		writeError(w, http.StatusBadRequest, "%s: %v", what, err)
+	}
+	return false
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -438,9 +463,7 @@ func (s *Server) handleAxes(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decode job spec: %v", err)
+	if !decodeBody(w, r, &spec, "decode job spec") {
 		return
 	}
 	j, err := s.submit(spec)
@@ -665,8 +688,7 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOracle(w http.ResponseWriter, r *http.Request) {
 	var req OracleRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode oracle request: %v", err)
+	if !decodeBody(w, r, &req, "decode oracle request") {
 		return
 	}
 	a, err := s.oracle.schedule(req)

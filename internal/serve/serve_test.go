@@ -486,6 +486,35 @@ func TestOracleBaselinesAndErrors(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected posts bodies just past the 1 MiB cap to both
+// JSON endpoints: each must answer 413 without decoding further, and the
+// server must go on serving a normal oracle request.
+func TestOversizedBodiesRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	// Valid JSON as far as the cap reaches: whitespace padding, so only the
+	// size limit can reject it.
+	huge := `{"max_ratio":` + strings.Repeat(" ", maxBodyBytes) + `1}`
+	for _, path := range []string{"/v1/oracle", "/v1/jobs"} {
+		code, body := post(t, ts.URL+path, huge)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body got %d (%s), want 413", path, code, body)
+		}
+	}
+	problem := oracleProblem()
+	body, err := json.Marshal(OracleRequest{
+		Requests:  problem.Requests,
+		Region:    problem.Region,
+		MaxRatio:  problem.MaxRatio,
+		Objective: problem.Objective,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, resp := post(t, ts.URL+"/v1/oracle", string(body)); code != http.StatusOK {
+		t.Errorf("oracle after oversized bodies: got %d (%s), want 200", code, resp)
+	}
+}
+
 func TestStreamSSEFraming(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	id := submit(t, ts, quickSweepSpec)

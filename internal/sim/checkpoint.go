@@ -411,14 +411,11 @@ func (e *Engine) decodeState(rd *checkpoint.Reader) error {
 				rd.Fail("user %d pilot names cell %d, cells %d", u.id, cell, nCells)
 				break
 			}
-			// The slot is not stored: it is the cell itself on a full scan
-			// and the cell's position in the (already decoded) candidate row
-			// on a window. A cell missing from the row gets slot -1, which
+			// The slot is not stored: it is the cell's position in the
+			// (already decoded) candidate row — the cell itself on the
+			// identity row. A cell missing from the row gets slot -1, which
 			// the next pilot update treats as stale and rebuilds from.
-			slot := cell
-			if e.winB != nil {
-				slot = cellular.FindCell(u.cand, int32(cell))
-			}
+			slot := cellular.FindCell(u.cand, int32(cell))
 			// Keyed composite-literal operands evaluate in lexical order, so
 			// the three reads land in the fields they were written from.
 			u.pilots = append(u.pilots, cellular.PilotMeasurement{

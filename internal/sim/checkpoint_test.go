@@ -239,14 +239,11 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// checkPilotSlots asserts, on a windowed engine, that every pilot entry's
-// slot names its own cell in the user's candidate row. Checkpoints do not
-// store slots, so this is what Resume must restore.
+// checkPilotSlots asserts that every pilot entry's slot names its own cell
+// in the user's candidate row — a window's row or the shared identity row.
+// Checkpoints do not store slots, so this is what Resume must restore.
 func checkPilotSlots(t *testing.T, e *Engine, k int) {
 	t.Helper()
-	if e.winB == nil {
-		return
-	}
 	n := 0
 	for _, u := range e.users {
 		for _, p := range u.pilots {
@@ -257,7 +254,7 @@ func checkPilotSlots(t *testing.T, e *Engine, k int) {
 		}
 	}
 	if n == 0 {
-		t.Fatalf("k=%d: resumed windowed engine holds no pilots", k)
+		t.Fatalf("k=%d: resumed engine holds no pilots", k)
 	}
 }
 

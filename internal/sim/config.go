@@ -221,14 +221,16 @@ type Config struct {
 	// FrameParallel it never affects the results: metrics and traces are
 	// byte-identical for any tile count, including 0.
 	Tiles int
-	// PilotCells bounds each user's measurement window to the nearest
-	// PilotCells cells of its spatial-grid bucket (see internal/spatial):
-	// pilot sets, shadowing state and interference sums then cost O(window)
+	// PilotCells sizes each user's measurement window (see windowed.go).
+	// 0 (the default) means the window is the whole layout: every user
+	// measures every cell, which the bit-exact goldens pin, at any layout
+	// size. A positive value bounds the window to the nearest PilotCells
+	// cells of the user's spatial-grid bucket (see internal/spatial): pilot
+	// sets, shadowing state and interference sums then cost O(window)
 	// instead of O(cells) per user per frame, which is what makes 1000-cell
-	// maps tractable. 0 (the default) keeps the full per-cell scan and its
-	// bit-exact goldens; positive values are a (deterministic) modelling
-	// approximation — cells outside the window are treated as negligible —
-	// so they change results relative to 0. Must be at least 4 (the active
+	// maps tractable. A window narrower than the layout is a (deterministic)
+	// modelling approximation — cells outside it are treated as negligible
+	// — so it changes results relative to 0. Must be at least 4 (the active
 	// set plus slack) and at most channel.MaxWindowWidth; >= 19 (a two-ring
 	// neighbourhood) is recommended.
 	PilotCells int
@@ -408,7 +410,7 @@ func (c Config) Validate() error {
 		fail("Tiles requires the snapshot frame mode")
 	}
 	if c.PilotCells != 0 && (c.PilotCells < 4 || c.PilotCells > channel.MaxWindowWidth) {
-		fail("PilotCells must be 0 (full scan) or in [4, %d]", channel.MaxWindowWidth)
+		fail("PilotCells must be 0 (the window is the whole layout) or in [4, %d]", channel.MaxWindowWidth)
 	}
 	if c.TraceEvery < 0 {
 		fail("TraceEvery must be >= 0")

@@ -71,7 +71,7 @@ type burst struct {
 // channel batch so the admission code reads it exactly as before.
 type dataUser struct {
 	id       int
-	gain     []float64 // aliases chanB.GainRow(id): long-term linear gain to every cell
+	gain     []float64 // aliases chanB.GainRow(id): long-term linear gain per slot of cand
 	pilots   []cellular.PilotMeasurement
 	active   []int
 	reduced  []int
@@ -86,10 +86,11 @@ type dataUser struct {
 	ver         uint64
 	prevReduced []int
 
-	// Windowed physics state (PilotCells > 0): cand aliases the user's
-	// slot-to-cell row of the channel window (global cell indices,
-	// ascending) and bucket is the spatial-grid bucket the window was last
-	// targeted at (-1 before the first frame).
+	// Window state (see windowed.go): cand is the user's slot-to-cell row
+	// (global cell indices, ascending) — its row of the channel window when
+	// PilotCells > 0, else the engine's shared identity row — and bucket is
+	// the spatial-grid bucket the window was last targeted at (-1 before the
+	// first frame, and always with the identity row).
 	cand   []int32
 	bucket int
 
@@ -140,11 +141,12 @@ type Engine struct {
 	fadeB *rng.JakesBatch
 	chanB *channel.Batch
 
-	// Windowed physics (PilotCells > 0): the spatial bucket index and the
-	// windowed channel state. winB embeds the Batch chanB points at (with
-	// cells == window width), so the advance kernels and gain rows are
-	// shared; spix additionally serves the voice users' nearest-cell
-	// queries, replacing their O(cells) scans.
+	// Windowed physics (PilotCells > 0; both nil when the window is the
+	// whole layout): the spatial bucket index and the windowed channel
+	// state. winB embeds the Batch chanB points at (with cells == window
+	// width), so the advance kernels and gain rows are shared; spix
+	// additionally serves the voice users' nearest-cell queries, replacing
+	// their O(cells) scans.
 	spix *spatial.Index
 	winB *channel.Window
 
@@ -166,13 +168,12 @@ type Engine struct {
 	// the configured direction. Allocated once, refilled every frame.
 	loads *load.Ledger
 
-	// regionB reuses the admissible-region row storage across frames
-	// (sequential mode; snapshot workers carry their own builders).
-	regionB measurement.RegionBuilder
-
-	// admitScratch holds the per-cell admission working set, reused across
-	// cells and frames so the admission loop does not allocate.
-	admitScratch admitScratch
+	// seq is the sequential frame mode's admission worker — scratch and
+	// region builder reused across cells and frames so the admission loop
+	// does not allocate, and the engine's own scheduler — and seqGrant its
+	// one grant slot (snapshot workers and tiles carry their own).
+	seq      frameWorker
+	seqGrant cellGrants
 
 	// Snapshot frame mode state, nil/empty in sequential mode: the worker
 	// pool of the physics pass and the solve phase (nil when FrameParallel
@@ -326,6 +327,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		coder:     coder,
 		phy:       p,
 		scheduler: sched,
+		seq:       frameWorker{sched: sched},
 		src:       rng.New(cfg.Seed),
 		metrics: &Metrics{
 			Scheduler: sched.Name(),
@@ -424,6 +426,9 @@ func (e *Engine) populate() {
 	nData := nCells * e.cfg.DataUsersPerCell
 	e.mobB = mobility.NewWaypointBatch(e.region, e.cfg.MinSpeed, e.cfg.MaxSpeed, 30, nData)
 	e.fadeB = rng.NewJakesBatch(nData, 16, e.cfg.DopplerHz)
+	// ident is the identity candidate row every user shares when the window
+	// is the whole layout: O(cells) memory, never retargeted.
+	var ident []int32
 	if e.spix != nil {
 		// Windowed physics: per-user channel state spans only the candidate
 		// window. chanB aliases the window's embedded Batch (cells == window
@@ -432,6 +437,10 @@ func (e *Engine) populate() {
 		e.chanB = e.winB.Batch
 	} else {
 		e.chanB = channel.NewBatch(nData, nCells, e.cfg.PathLoss, e.cfg.ShadowSigmaDB, e.cfg.ShadowDecorrM)
+		ident = make([]int32, nCells)
+		for k := range ident {
+			ident[k] = int32(k)
+		}
 	}
 	// The per-user measurement buffers are carved from two slabs at their
 	// steady-state capacity — one pilot per gain-row slot, at most three
@@ -465,6 +474,7 @@ func (e *Engine) populate() {
 				active:      set(uid, 0),
 				reduced:     set(uid, 1),
 				prevReduced: set(uid, 2),
+				cand:        ident,
 				bucket:      -1,
 				source:      traffic.NewDataModel(dataSrc, uid, e.cfg.Data),
 				macM:        mac.MustNewMachine(e.cfg.MAC),
@@ -644,132 +654,6 @@ func (e *Engine) advanceData(u *dataUser, dt float64) {
 	}
 }
 
-// updateUser advances one data user by one frame: position, per-cell gain,
-// pilot/active/reduced sets, geometry, FCH ledgers and MAC state. The exact
-// reference path (ExactPHY) reproduces the original scalar chain bit for
-// bit; the default fast path evaluates the same model through the batched
-// fast kernels.
-func (e *Engine) updateUser(u *dataUser, dt float64) {
-	switch {
-	case e.winB != nil && e.cfg.ExactPHY:
-		e.updateUserExactWin(u, dt)
-	case e.winB != nil:
-		e.updateUserFastWin(u, dt)
-	case e.cfg.ExactPHY:
-		e.updateUserExact(u, dt)
-	default:
-		e.updateUserFast(u, dt)
-	}
-}
-
-// updateUserExact is the bit-exact reference frame update. A zero-travel
-// frame leaves the shadowing state — and with it every derived quantity,
-// down to the FCH ledgers — bitwise unchanged, so after consuming the
-// Gaussian draws the reference stream takes anyway, the whole recompute is
-// skipped.
-func (e *Engine) updateUserExact(u *dataUser, dt float64) {
-	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
-		e.chanB.AdvancePausedExact(u.id)
-		if e.faultDirty {
-			e.refreshPausedUser(u)
-			return
-		}
-		u.macM.AdvanceTo(e.now)
-		return
-	}
-	pos := e.mobB.Position(u.id)
-	e.layout.DistancesInto(pos, e.chanB.DistRow(u.id))
-	e.chanB.AdvanceExact(u.id, travelled)
-	u.pilots = cellular.PilotSetInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	e.finishMeasurements(u)
-}
-
-// updateUserFast is the default frame update: squared distances feed the
-// fast channel kernel (FastLog10/FastExp10, ziggurat shadowing draws), the
-// pilot and active sets are decided in the linear domain, and a paused user
-// skips the frame entirely — its measurements cannot change. The user's
-// measurement version is bumped whenever the gains moved beyond
-// RegionEpsilon or the reduced set changed, keying the incremental region
-// cache.
-func (e *Engine) updateUserFast(u *dataUser, dt float64) {
-	travelled := e.mobB.Advance(u.id, dt)
-	if travelled == 0 && e.chanB.Ready(u.id) {
-		if e.faultDirty {
-			e.refreshPausedUser(u)
-			return
-		}
-		u.macM.AdvanceTo(e.now)
-		return
-	}
-	pos := e.mobB.Position(u.id)
-	e.layout.DistancesSqInto(pos, e.chanB.DistRow(u.id))
-	dirty := e.chanB.AdvanceFast(u.id, travelled, e.cfg.RegionEpsilon)
-	u.pilots = cellular.PilotSetLinearInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-	e.filterDownPilots(u)
-	u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	e.finishMeasurements(u)
-	if !dirty {
-		dirty = !intSlicesEqual(u.reduced, u.prevReduced)
-	}
-	if dirty {
-		u.ver++
-	}
-	u.prevReduced = append(u.prevReduced[:0], u.reduced...)
-}
-
-// finishMeasurements derives the admission-facing quantities from the
-// freshly updated gains and active set: reduced set, host cell, geometry,
-// mean CSI and the FCH ledgers. Identical arithmetic on both the exact and
-// the fast path (the inputs differ only by the kernel tolerances).
-func (e *Engine) finishMeasurements(u *dataUser) {
-	nCells := e.layout.NumCells()
-	u.reduced = cellular.ReducedActiveSetInto(u.reduced, u.pilots, u.active)
-	if len(u.reduced) == 0 {
-		// Degenerate coverage hole: fall back to the strongest cell.
-		u.reduced = append(u.reduced, int(u.pilots[0].Cell))
-	}
-	u.hostCell = u.reduced[0]
-
-	// Downlink geometry: serving-cell power over other-cell interference
-	// plus noise, with neighbours at nominal activity.
-	interference := e.cfg.NoiseW
-	for k := 0; k < nCells; k++ {
-		if k == u.hostCell {
-			continue
-		}
-		interference += nominalOtherCellActivity * e.cfg.MaxCellPowerW * u.gain[k]
-	}
-	u.geometry = e.cfg.MaxCellPowerW * u.gain[u.hostCell] / interference
-	u.meanCSIdB = mathx.DB(u.geometry) + schCSIOffsetDB
-
-	// Forward FCH power needed at each reduced-active-set cell (equation 6
-	// inputs): P = EbIo_target * I / (gain * processing gain), capped.
-	cap := e.cfg.FCHTargetFraction * e.cfg.MaxCellPowerW
-	u.fchPower.Reset()
-	for _, k := range u.reduced {
-		req := e.ebioTarget * interference / (u.gain[k] * e.fchPG)
-		u.fchPower.Set(k, math.Min(req, cap))
-	}
-
-	// Reverse FCH received power at every cell, assuming the mobile's
-	// reverse power control holds the target at its best cell against a
-	// nominal half-limit interference level. Stored normalised by the
-	// thermal noise power (rise-over-thermal units) so that the admission
-	// arithmetic works on O(1) quantities.
-	nominalL := e.cfg.NoiseW * (1 + (e.cfg.ReverseRiseLimit-1)/2)
-	bestGain := u.gain[u.hostCell]
-	revTx := e.ebioTarget * nominalL / (bestGain * e.fchPG)
-	u.revFCHRx.Reset()
-	for _, k := range u.reduced {
-		u.revFCHRx.Set(k, revTx*u.gain[k]/e.cfg.NoiseW)
-	}
-
-	u.macM.AdvanceTo(e.now)
-}
-
 // intSlicesEqual reports a == b elementwise.
 func intSlicesEqual(a, b []int) bool {
 	if len(a) != len(b) {
@@ -924,31 +808,17 @@ func (e *Engine) admit() {
 // admitSequential is the legacy intra-frame-coupled mode: cells admit in
 // index order against the live ledger, so cell k's admissible region
 // already reflects the grants cells 0..k-1 made earlier in the same frame.
+// A failed solve skips the cell this frame rather than abort the run: the
+// queue keeps the requests, so the cell is retried next frame (noteSolve
+// counts the recovery when it lands).
 func (e *Engine) admitSequential() {
 	loads := e.loads.Values() // live: commits below mutate it in place
 	for k := 0; k < e.layout.NumCells(); k++ {
-		queue := e.queues[k]
-		if queue.Len() == 0 || e.cellDown(k) {
+		if e.queues[k].Len() == 0 || e.cellDown(k) {
 			continue
 		}
-		if !e.gatherCell(k, &e.admitScratch, loads) {
-			continue
-		}
-		assignment, err := e.solveCell(k, &e.admitScratch, &e.regionB, e.scheduler, e.incr, loads)
-		if err != nil {
-			// Skip this cell this frame rather than abort the run, but leave
-			// a trace: the queue keeps the requests, so the cell is retried
-			// next frame (noteSolve counts the recovery when it lands).
-			e.noteSolve(k, true, false)
-			e.traceSolve(k, len(e.admitScratch.reqs), true, false)
-			continue
-		}
-		e.noteSolve(k, false, assignment.Fallback)
-		e.traceSolve(k, len(e.admitScratch.reqs), false, assignment.Fallback)
-		if e.solveRec != nil {
-			e.solveRec.Emit(replay.CopyProblem(e.frame, e.now, k, e.admitScratch.reqs, e.admitScratch.region, assignment.Ratios))
-		}
-		e.commitCell(k, queue, e.admitScratch.users, assignment.Ratios)
+		e.solveInto(&e.seqGrant, k, &e.seq, e.incr, loads)
+		e.commitSolved(&e.seqGrant)
 	}
 }
 
@@ -1014,38 +884,7 @@ func (e *Engine) admitSnapshot() {
 	}
 	loads := e.loads.Values() // immutable until the commit phase
 	solve := func(w, i int) {
-		fw := e.workers[w]
-		k := e.active[i]
-		g := &e.grants[i]
-		g.cell = k
-		g.skipped = false
-		g.fallback = false
-		g.offered = 0
-		g.users = g.users[:0]
-		g.ratios = g.ratios[:0]
-		g.prob = nil
-		if !e.gatherCell(k, &fw.scratch, loads) {
-			return
-		}
-		g.offered = len(fw.scratch.reqs)
-		if cs, ok := fw.sched.(core.CellSeeder); ok {
-			cs.SeedCell(uint64(e.frame), uint64(k))
-		}
-		assignment, err := e.solveCell(k, &fw.scratch, &fw.regionB, fw.sched, e.incr, loads)
-		if err != nil {
-			g.skipped = true
-			return
-		}
-		g.fallback = assignment.Fallback
-		if e.solveRec != nil {
-			g.prob = replay.CopyProblem(e.frame, e.now, k, fw.scratch.reqs, fw.scratch.region, assignment.Ratios)
-		}
-		for j, m := range assignment.Ratios {
-			if m > 0 {
-				g.users = append(g.users, fw.scratch.users[j])
-				g.ratios = append(g.ratios, m)
-			}
-		}
+		e.solveInto(&e.grants[i], e.active[i], e.workers[w], e.incr, loads)
 	}
 	if e.pool != nil {
 		e.pool.Run(len(e.active), solve)
@@ -1055,21 +894,68 @@ func (e *Engine) admitSnapshot() {
 		}
 	}
 	for i := range e.active {
-		g := &e.grants[i]
-		e.traceSolve(g.cell, g.offered, g.skipped, g.fallback)
-		if g.skipped {
-			e.noteSolve(g.cell, true, false)
-			continue
-		}
-		if g.offered > 0 {
-			e.noteSolve(g.cell, false, g.fallback)
-		}
-		if g.prob != nil {
-			e.solveRec.Emit(g.prob)
-			g.prob = nil
-		}
-		e.commitCell(g.cell, e.queues[g.cell], g.users, g.ratios)
+		e.commitSolved(&e.grants[i])
 	}
+}
+
+// solveInto runs cell k's measure+solve phase on worker w against the
+// ledger loads and records the outcome in g: the live requests gathered,
+// whether the solve was skipped or fell back to greedy, the positive grants
+// and — when tracing — a deep copy of the solved problem. In snapshot mode
+// the scheduler is first reseeded for (frame, cell) (core.CellSeeder), so
+// the grants do not depend on which worker or tile solved the cell; the
+// sequential scheduler keeps its stream across cells and frames.
+func (e *Engine) solveInto(g *cellGrants, k int, w *frameWorker, incr *measurement.IncrementalRegions, loads []float64) {
+	g.cell = k
+	g.skipped = false
+	g.fallback = false
+	g.offered = 0
+	g.users = g.users[:0]
+	g.ratios = g.ratios[:0]
+	g.prob = nil
+	if !e.gatherCell(k, &w.scratch, loads) {
+		return
+	}
+	g.offered = len(w.scratch.reqs)
+	if cs, ok := w.sched.(core.CellSeeder); ok && e.cfg.FrameMode.normalize() == FrameSnapshot {
+		cs.SeedCell(uint64(e.frame), uint64(k))
+	}
+	assignment, err := e.solveCell(k, &w.scratch, &w.regionB, w.sched, incr, loads)
+	if err != nil {
+		g.skipped = true
+		return
+	}
+	g.fallback = assignment.Fallback
+	if e.solveRec != nil {
+		g.prob = replay.CopyProblem(e.frame, e.now, k, w.scratch.reqs, w.scratch.region, assignment.Ratios)
+	}
+	for j, m := range assignment.Ratios {
+		if m > 0 {
+			g.users = append(g.users, w.scratch.users[j])
+			g.ratios = append(g.ratios, m)
+		}
+	}
+}
+
+// commitSolved applies one solved cell on the sequential commit section:
+// the telemetry and robustness counters, the solve-trace record, then the
+// grants. Every frame mode commits through it in ascending cell order, so
+// the counters, traces and ledger are identical for any worker or tile
+// count.
+func (e *Engine) commitSolved(g *cellGrants) {
+	e.traceSolve(g.cell, g.offered, g.skipped, g.fallback)
+	if g.skipped {
+		e.noteSolve(g.cell, true, false)
+		return
+	}
+	if g.offered > 0 {
+		e.noteSolve(g.cell, false, g.fallback)
+	}
+	if g.prob != nil {
+		e.solveRec.Emit(g.prob)
+		g.prob = nil
+	}
+	e.commitCell(g.cell, e.queues[g.cell], g.users, g.ratios)
 }
 
 // gatherCell drains cell k's queue into the scratch working set: stale

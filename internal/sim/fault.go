@@ -11,16 +11,16 @@ package sim
 //     outage cell-frames. The down mask and derate vector are immutable for
 //     the rest of the frame, so the parallel update/solve phases read them
 //     freely.
-//   - Out-of-service cells are excluded from the pilot search (every update
-//     path filters its freshly built pilot set through filterDownPilots),
+//   - Out-of-service cells are excluded from the pilot search (measure
+//     filters every freshly built pilot set through filterDownPilots),
 //     so users re-pilot to the surviving SCRM neighbours and their FCH load
 //     and new burst requests spill onto those cells. If every measurable
 //     cell is down the user keeps its stale set — a coverage hole; its cell
 //     issues no grants until recovery.
-//   - Paused users (the zero-travel shortcuts) re-derive their pilot sets
-//     from their unchanged gains on frames where the down mask changed —
-//     the channel state and every RNG stream are left exactly as the
-//     shortcut leaves them, so a no-fault schedule stays bit-identical.
+//   - Paused users (the zero-travel shortcut) re-run measure on their
+//     unchanged gains on frames where the down mask changed — the channel
+//     state and every RNG stream are left exactly as the shortcut leaves
+//     them, so a no-fault schedule stays bit-identical.
 //   - migrateQueued (sequential, before traffic generation) moves burst
 //     requests still queued at a down cell to the owner's re-piloted host
 //     cell, counting each move as a spillover hand-off.
@@ -91,59 +91,6 @@ func (e *Engine) filterDownPilots(u *dataUser) {
 		return
 	}
 	u.pilots = kept
-}
-
-// refreshPausedUser re-derives a paused user's pilot, active and reduced
-// sets from its unchanged gains on a frame where the down mask changed.
-// Only the measurement chain runs — the mobility, fading and channel
-// streams have already been advanced (or skipped) exactly as the paused
-// shortcut does — so the RNG state is untouched and a fault-free run
-// cannot diverge. The fast paths also re-run the version bump so the
-// region cache sees the reduced-set change.
-func (e *Engine) refreshPausedUser(u *dataUser) {
-	if e.winB != nil {
-		e.refreshPilotsWin(u)
-	} else {
-		e.refreshPilots(u)
-	}
-	if !e.cfg.ExactPHY {
-		if !intSlicesEqual(u.reduced, u.prevReduced) {
-			u.ver++
-		}
-		u.prevReduced = append(u.prevReduced[:0], u.reduced...)
-	}
-}
-
-// refreshPilots is the full-scan measurement chain of updateUserExact /
-// updateUserFast without the mobility and channel advance, for paused users
-// on mask-change frames.
-func (e *Engine) refreshPilots(u *dataUser) {
-	if e.cfg.ExactPHY {
-		u.pilots = cellular.PilotSetInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	} else {
-		u.pilots = cellular.PilotSetLinearInto(u.pilots, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	}
-	e.finishMeasurements(u)
-}
-
-// refreshPilotsWin is refreshPilots over the candidate window. The user is
-// paused, so its bucket — and with it the window — cannot have moved; the
-// slot-mapped gains are read as they stand.
-func (e *Engine) refreshPilotsWin(u *dataUser) {
-	if e.cfg.ExactPHY {
-		u.pilots = cellular.PilotSetCellsInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetInto(u.active, u.pilots, e.cfg.SoftHandoffAddDB, e.cfg.PilotMinEcIoDB, 3)
-	} else {
-		u.pilots = cellular.PilotSetCellsLinearInto(u.pilots, u.cand, u.gain, e.cfg.PilotFraction, e.cfg.MaxCellPowerW, e.cfg.NoiseW)
-		e.filterDownPilots(u)
-		u.active = cellular.ActiveSetLinearInto(u.active, u.pilots, e.addFactor, e.minEcIo, 3)
-	}
-	e.finishMeasurementsWin(u)
 }
 
 // migrateQueued moves burst requests still queued at an out-of-service

@@ -28,7 +28,6 @@ import (
 
 	"jabasd/internal/core"
 	"jabasd/internal/measurement"
-	"jabasd/internal/replay"
 	"jabasd/internal/shard"
 	"jabasd/internal/stream"
 )
@@ -111,36 +110,7 @@ func (e *Engine) admitTiled() {
 	solve := func(_, ti int) {
 		t := e.tiles[ti]
 		for i, k := range t.active {
-			g := &t.grants[i]
-			g.cell = k
-			g.skipped = false
-			g.fallback = false
-			g.offered = 0
-			g.users = g.users[:0]
-			g.ratios = g.ratios[:0]
-			g.prob = nil
-			if !e.gatherCell(k, &t.worker.scratch, loads) {
-				continue
-			}
-			g.offered = len(t.worker.scratch.reqs)
-			if cs, ok := t.worker.sched.(core.CellSeeder); ok {
-				cs.SeedCell(uint64(e.frame), uint64(k))
-			}
-			assignment, err := e.solveCell(k, &t.worker.scratch, &t.worker.regionB, t.worker.sched, t.incr, loads)
-			if err != nil {
-				g.skipped = true
-				continue
-			}
-			g.fallback = assignment.Fallback
-			if e.solveRec != nil {
-				g.prob = replay.CopyProblem(e.frame, e.now, k, t.worker.scratch.reqs, t.worker.scratch.region, assignment.Ratios)
-			}
-			for j, m := range assignment.Ratios {
-				if m > 0 {
-					g.users = append(g.users, t.worker.scratch.users[j])
-					g.ratios = append(g.ratios, m)
-				}
-			}
+			e.solveInto(&t.grants[i], k, &t.worker, t.incr, loads)
 		}
 	}
 	if e.pool != nil {
@@ -152,20 +122,7 @@ func (e *Engine) admitTiled() {
 	}
 	for _, t := range e.tiles {
 		for i := range t.active {
-			g := &t.grants[i]
-			e.traceSolve(g.cell, g.offered, g.skipped, g.fallback)
-			if g.skipped {
-				e.noteSolve(g.cell, true, false)
-				continue
-			}
-			if g.offered > 0 {
-				e.noteSolve(g.cell, false, g.fallback)
-			}
-			if g.prob != nil {
-				e.solveRec.Emit(g.prob)
-				g.prob = nil
-			}
-			e.commitCell(g.cell, e.queues[g.cell], g.users, g.ratios)
+			e.commitSolved(&t.grants[i])
 		}
 	}
 }

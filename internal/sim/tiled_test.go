@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"jabasd/internal/cellular"
+	"jabasd/internal/channel"
 	"jabasd/internal/trace"
 )
 
@@ -96,12 +97,13 @@ func TestTileCountDeterminismExact(t *testing.T) {
 	}
 }
 
-// TestWindowedFullWidthIdentity pins the key property the windowed physics
-// is built on: when PilotCells covers every cell of the layout, the
-// candidate list is the identity, the window retargets are no-ops after the
-// first frame, and every summation runs in the same order as the full scan
-// — so the windowed engine reproduces the full-scan engine exactly, on both
-// the fast and the exact kernels, tiled or not.
+// TestWindowedFullWidthIdentity pins the property the one physics path is
+// built on: the shared identity row of PilotCells = 0 (a plain
+// channel.Batch, never retargeted) and a full-width channel.Window
+// (PilotCells covering every cell, so its candidate list is the identity
+// and its retargets are no-ops after the first frame) run every summation
+// in the same order and reproduce each other exactly, on both the fast and
+// the exact kernels, tiled or not.
 func TestWindowedFullWidthIdentity(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		for _, dir := range []Direction{Forward, Reverse} {
@@ -172,6 +174,49 @@ func TestWindowedNarrowRunCompletes(t *testing.T) {
 			if cellular.FindCell(u.cand, int32(k)) < 0 {
 				t.Fatalf("user %d reduced-set cell %d outside its candidate window %v", u.id, k, u.cand)
 			}
+		}
+	}
+}
+
+// TestIdentityWindowBeyondMaxWidth runs PilotCells = 0 on a layout wider
+// than channel.MaxWindowWidth: the identity row has no width cap, and every
+// user's candidate row aliases one shared backing array, O(cells) memory
+// instead of a users x cells slot map.
+func TestIdentityWindowBeyondMaxWidth(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Rings = 10 // 331 cells
+	cfg.SimTime = 0.4
+	cfg.WarmupTime = 0
+	cfg.DataUsersPerCell = 1
+	cfg.VoiceUsersPerCell = 0
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.layout.NumCells(); n <= channel.MaxWindowWidth {
+		t.Fatalf("layout has %d cells, want more than channel.MaxWindowWidth = %d", n, channel.MaxWindowWidth)
+	}
+	if e.winB != nil || e.spix != nil {
+		t.Fatal("PilotCells = 0 built a channel window or spatial index")
+	}
+	if _, err := e.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	row := e.users[0].cand
+	if len(row) != e.layout.NumCells() {
+		t.Fatalf("identity row has %d cells, want %d", len(row), e.layout.NumCells())
+	}
+	for k, c := range row {
+		if int(c) != k {
+			t.Fatalf("identity row[%d] = %d", k, c)
+		}
+	}
+	for _, u := range e.users {
+		if &u.cand[0] != &row[0] || len(u.cand) != len(row) {
+			t.Fatalf("user %d does not share the identity row", u.id)
+		}
+		if len(u.pilots) == 0 || len(u.reduced) == 0 {
+			t.Fatalf("user %d holds no measurements after the run", u.id)
 		}
 	}
 }
