@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string) error {
 		reps        = fs.Int("reps", 1, "independent replications (parallel)")
 		frameMode   = fs.String("framemode", "", "frame admission mode: sequential or snapshot (default: scenario's)")
 		framePar    = fs.Int("frameparallel", -1, "snapshot-mode frame workers (physics pass and cell solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps the scenario's")
-		tiles       = fs.Int("tiles", -1, "snapshot-mode tile count (cell-span ownership for the solve fan-out): 0 = untiled, -1 keeps the scenario's; results are byte-identical for any value")
+		tiles       = fs.Int("tiles", -1, "snapshot solve-phase task grain: at most this many contiguous chunks of each frame's active cells (no per-tile state); 0 = one task per cell, -1 keeps the scenario's; results are byte-identical for any value")
 		tracePath   = fs.String("trace", "", "write per-frame per-cell telemetry to this file (CSV, or JSONL when the path ends in .jsonl); replication 0 only when -reps > 1")
 		traceEvery  = fs.Int("trace-every", 1, "sample every Nth frame into the -trace output")
 		exactVTAOC  = fs.Bool("exact-vtaoc", false, "bit-exact reference physics: exact VTAOC integral, scalar-equivalent channel kernels, full region rebuilds (golden-output mode; default is the fast SoA path)")

@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		seed       = fs.Uint64("seed", 0, "base random seed (0 keeps the preset's)")
 		frameMode  = fs.String("framemode", "", "frame admission mode override for every point: sequential or snapshot")
 		framePar   = fs.Int("frameparallel", -1, "per-run snapshot frame workers override (physics pass and cell solves): 0 = auto (GOMAXPROCS, but inline under a parallel reps/sweep fan-out), 1 = inline, -1 keeps each point's")
-		tiles      = fs.Int("tiles", -1, "per-run snapshot tile count override: 0 = untiled, -1 keeps each point's; results are byte-identical for any value")
+		tiles      = fs.Int("tiles", -1, "per-run snapshot solve-phase task grain override (at most this many contiguous chunks of the active cells, no per-tile state): 0 = one task per cell, -1 keeps each point's; results are byte-identical for any value")
 		format     = fs.String("format", "csv", "output format: csv or json")
 		outPath    = fs.String("o", "", "output file (default stdout)")
 		tracePath  = fs.String("trace", "", "write per-frame per-cell telemetry of every point's replication 0 to this CSV file")

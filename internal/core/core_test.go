@@ -119,6 +119,11 @@ func TestProblemValidate(t *testing.T) {
 	if bad3.Validate() == nil {
 		t.Error("negative throughput should fail")
 	}
+	ragged := smallProblem(ObjectiveThroughput)
+	ragged.Region.Bound = ragged.Region.Bound[:len(ragged.Region.Bound)-1]
+	if ragged.Validate() == nil {
+		t.Error("region with fewer bounds than rows should fail")
+	}
 }
 
 func TestProblemMACRecomputesSetupDelay(t *testing.T) {

@@ -219,6 +219,9 @@ func (p Problem) Validate() error {
 	if err := p.Objective.Validate(); err != nil {
 		return err
 	}
+	if len(p.Region.Bound) != len(p.Region.Coeff) {
+		return errors.New("core: region bound count does not match row count")
+	}
 	for _, row := range p.Region.Coeff {
 		if len(row) != len(p.Requests) {
 			return errors.New("core: region width does not match request count")

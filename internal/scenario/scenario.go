@@ -120,10 +120,11 @@ func applyMetro(c *sim.Config) {
 // an 18-ring wrap-around grid (1027 cells) of 500 m microcells with the
 // city-scale machinery switched on — windowed per-user physics (a 24-cell
 // measurement window via the spatial bucket index, so channel state is
-// O(users x window) instead of O(users x cells)) and the tiled snapshot
-// frame mode (8 tiles; results are byte-identical for any tile count, so
-// -tiles only changes wall-clock). SimTime is short because a single city
-// frame covers >100k data users; sweeps scale it as needed.
+// O(users x window) instead of O(users x cells)) and the snapshot frame
+// mode with its solve phase dispatched in 8 chunks of the active cells
+// (Tiles; a chunk owns no state and results are byte-identical for any
+// tile count, so -tiles only changes wall-clock). SimTime is short because
+// a single city frame covers >100k data users; sweeps scale it as needed.
 func applyCity(c *sim.Config, dataPerCell, voicePerCell int) {
 	c.Rings = 18
 	c.CellRadius = 500

@@ -160,7 +160,7 @@ func (s *Server) recoverJournal() {
 		if err := json.Unmarshal(data, &spec); err != nil {
 			continue
 		}
-		j, err := s.submit(spec)
+		j, _, err := s.submit(spec)
 		if err != nil {
 			continue
 		}
@@ -178,31 +178,32 @@ var (
 	errQueueFull    = errors.New("serve: job queue full")
 )
 
-// submit resolves, registers, journals and enqueues one job.
-func (s *Server) submit(spec JobSpec) (*Job, error) {
+// submit resolves, registers, journals and enqueues one job, returning it
+// with its status as submitted (queued).
+func (s *Server) submit(spec JobSpec) (*Job, JobStatus, error) {
 	if spec.DeadlineSec < 0 {
-		return nil, errors.New("serve: deadline_sec must be >= 0")
+		return nil, JobStatus{}, errors.New("serve: deadline_sec must be >= 0")
 	}
 	if spec.Retries < 0 {
-		return nil, errors.New("serve: retries must be >= 0")
+		return nil, JobStatus{}, errors.New("serve: retries must be >= 0")
 	}
 	if spec.Chaos != nil {
 		if !s.opts.EnableChaos {
-			return nil, errors.New("serve: chaos injection is disabled; start the server with -chaos")
+			return nil, JobStatus{}, errors.New("serve: chaos injection is disabled; start the server with -chaos")
 		}
 		if err := spec.Chaos.validate(); err != nil {
-			return nil, err
+			return nil, JobStatus{}, err
 		}
 	}
 	work, err := spec.resolve(s.jobParallel)
 	if err != nil {
-		return nil, err
+		return nil, JobStatus{}, err
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, errShuttingDown
+		return nil, JobStatus{}, errShuttingDown
 	}
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
@@ -220,17 +221,19 @@ func (s *Server) submit(spec JobSpec) (*Job, error) {
 			s.nextID--
 			s.mu.Unlock()
 			cancel()
-			return nil, fmt.Errorf("serve: journaling job: %w", err)
+			return nil, JobStatus{}, fmt.Errorf("serve: journaling job: %w", err)
 		}
 	}
 	// Registration and enqueueing happen under one lock so a full queue
-	// leaves no orphaned job behind.
+	// leaves no orphaned job behind. The status is captured before the job
+	// is enqueued: once a worker can see it, it may already be running.
+	st := j.status()
 	select {
 	case s.queue <- j:
 		s.jobs[id] = j
 		s.order = append(s.order, id)
 		s.mu.Unlock()
-		return j, nil
+		return j, st, nil
 	default:
 		s.nextID--
 		s.mu.Unlock()
@@ -238,7 +241,7 @@ func (s *Server) submit(spec JobSpec) (*Job, error) {
 		if j.journal != "" {
 			os.Remove(j.journal)
 		}
-		return nil, errQueueFull
+		return nil, JobStatus{}, errQueueFull
 	}
 }
 
@@ -466,10 +469,10 @@ func (s *Server) handleCreateJob(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &spec, "decode job spec") {
 		return
 	}
-	j, err := s.submit(spec)
+	_, st, err := s.submit(spec)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusAccepted, j.status())
+		writeJSON(w, http.StatusAccepted, st)
 	case errors.Is(err, errShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 	case errors.Is(err, errQueueFull):

@@ -486,6 +486,21 @@ func TestOracleBaselinesAndErrors(t *testing.T) {
 	}
 }
 
+// TestOracleRejectsRaggedRegion posts a region with two coefficient rows
+// but one bound to every scheduler: each must answer 400, not panic the
+// handler while reading the missing bound.
+func TestOracleRejectsRaggedRegion(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, sched := range []string{"jaba-sd", "jaba-sd-greedy", "fcfs", "equal-share", "random"} {
+		body := `{"scheduler":"` + sched + `",` +
+			`"requests":[{"UserID":1,"SizeBits":1e6,"WaitingTime":0.5,"AvgThroughput":0.5,"MaxRatio":4}],` +
+			`"region":{"Coeff":[[1],[2]],"Bound":[5]},"max_ratio":4,"objective":{"Kind":0}}`
+		if code, resp := post(t, ts.URL+"/v1/oracle", body); code != http.StatusBadRequest {
+			t.Errorf("%s: ragged region got %d (%s), want 400", sched, code, resp)
+		}
+	}
+}
+
 // TestOversizedBodiesRejected posts bodies just past the 1 MiB cap to both
 // JSON endpoints: each must answer 413 without decoding further, and the
 // server must go on serving a normal oracle request.

@@ -8,7 +8,7 @@ import (
 // cityConfig mirrors the scenario "city" preset (scenario imports sim, so
 // the preset cannot be looked up from here): an 18-ring wrap-around grid —
 // 1027 cells of 500 m radius — with 100 data and 20 voice users per cell,
-// windowed physics and the tiled snapshot frame mode.
+// windowed physics and the snapshot frame mode.
 func cityConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Rings = 18
@@ -24,8 +24,9 @@ func cityConfig() Config {
 // 102,700 data users — at increasing tile counts, reporting frames/sec.
 // FrameParallel tracks the tile count, so tiles-1 is the single-core
 // baseline and tiles-8 is the eight-way fan-out of the same byte-identical
-// computation: the ratio of the two frames/sec numbers is the multicore
-// scaling the tile/halo decomposition exists for. Engine construction
+// computation. Tiles only chunk the one snapshot solve loop (they own no
+// state), so the ratio of the two frames/sec numbers is the multicore
+// scaling FrameParallel buys the physics pass and the solves. Engine construction
 // (populating ~123k users) happens outside the timer; the loop drives
 // whole frames through the same step() the Run loop calls.
 func BenchmarkCityTiles(b *testing.B) {

@@ -212,14 +212,14 @@ type Config struct {
 	// already saturates the CPUs (see ResolveFrameParallel). It never
 	// affects the results and is ignored in sequential mode.
 	FrameParallel int
-	// Tiles shards the hex grid into that many contiguous tiles (see
-	// internal/shard): each tile owns its cells' queues, warm solver clone,
-	// region cache and grant buffers, and the snapshot measure+solve phase
-	// fans out one task per tile instead of one per active cell. Values
-	// above the cell count are clamped; 0 (the default) keeps the untiled
-	// per-cell fan-out. Requires the snapshot frame mode. Like
-	// FrameParallel it never affects the results: metrics and traces are
-	// byte-identical for any tile count, including 0.
+	// Tiles is the task grain of the snapshot measure+solve phase: a
+	// positive value splits each frame's active cells into at most that
+	// many contiguous chunks, one pool task each, instead of one task per
+	// active cell (0, the default). A chunk owns no state: every task
+	// solves on its pool worker's scheduler clone and scratch against the
+	// one shared region cache, and there is no halo. Requires the snapshot
+	// frame mode. Like FrameParallel it never affects the results: metrics
+	// and traces are byte-identical for any tile count, including 0.
 	Tiles int
 	// PilotCells sizes each user's measurement window (see windowed.go).
 	// 0 (the default) means the window is the whole layout: every user

@@ -16,7 +16,6 @@ import (
 	"jabasd/internal/mobility"
 	"jabasd/internal/replay"
 	"jabasd/internal/rng"
-	"jabasd/internal/shard"
 	"jabasd/internal/spatial"
 	"jabasd/internal/stream"
 	"jabasd/internal/trace"
@@ -171,7 +170,7 @@ type Engine struct {
 	// seq is the sequential frame mode's admission worker — scratch and
 	// region builder reused across cells and frames so the admission loop
 	// does not allocate, and the engine's own scheduler — and seqGrant its
-	// one grant slot (snapshot workers and tiles carry their own).
+	// one grant slot (the snapshot loop has one per active cell in grants).
 	seq      frameWorker
 	seqGrant cellGrants
 
@@ -183,12 +182,6 @@ type Engine struct {
 	workers []*frameWorker
 	active  []int
 	grants  []cellGrants
-
-	// Tiled snapshot mode (Tiles > 0): the contiguous cell partition and
-	// the per-tile ownership state replacing workers/active/grants — see
-	// tiled.go. The solve phase then fans out one task per tile.
-	plan  shard.Plan
-	tiles []*simTile
 
 	// Telemetry, nil/empty when cfg.Trace is unset: the recorder wrapping
 	// the configured sink and the per-cell frame counters, reset every
@@ -314,7 +307,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if j, ok := sched.(*core.JABASD); ok {
 		// Graceful degradation: bound the exact solve's node count; a capped
 		// solve falls back to the greedy schedule (see core.JABASD.NodeBudget).
-		// Clone() carries the budget, so snapshot/tiled workers degrade at
+		// Clone() carries the budget, so snapshot workers degrade at
 		// exactly the same point.
 		j.NodeBudget = cfg.SolveNodeBudget
 	}
@@ -339,9 +332,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.ebioTarget = mathx.Linear(cfg.FCHEbIoTargetDB)
 	e.addFactor = math.Pow(10, -cfg.SoftHandoffAddDB/10)
 	e.minEcIo = math.Pow(10, cfg.PilotMinEcIoDB/10)
-	if !cfg.ExactPHY && cfg.Tiles == 0 {
-		// Tiled engines skip the shared cache: each tile owns a private
-		// IncrementalRegions for its cell span (see initTiles).
+	if !cfg.ExactPHY {
 		e.incr = measurement.NewIncrementalRegions(layout.NumCells(), cfg.RegionEpsilon)
 	}
 	if cfg.PilotCells > 0 {
@@ -377,11 +368,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: scheduler %s does not implement core.Cloner, required by the snapshot frame mode (one independent instance per worker)", sched.Name())
 		}
-		if cfg.Tiles > 0 {
-			e.initTiles(cl)
-		} else {
-			e.initFrameWorkers(cl)
-		}
+		e.initFrameWorkers(cl)
 	}
 	e.populate()
 	return e, nil
@@ -794,10 +781,6 @@ func (e *Engine) completeBurst(b *burst) {
 // snapshot mode), so the steady-state admission loop is allocation-free
 // through the integer programme up to the returned per-cell assignment.
 func (e *Engine) admit() {
-	if e.tiles != nil {
-		e.admitTiled()
-		return
-	}
 	if e.cfg.FrameMode.normalize() == FrameSnapshot {
 		e.admitSnapshot()
 		return
@@ -817,7 +800,7 @@ func (e *Engine) admitSequential() {
 		if e.queues[k].Len() == 0 || e.cellDown(k) {
 			continue
 		}
-		e.solveInto(&e.seqGrant, k, &e.seq, e.incr, loads)
+		e.solveInto(&e.seqGrant, k, &e.seq, loads)
 		e.commitSolved(&e.seqGrant)
 	}
 }
@@ -866,10 +849,14 @@ func (e *Engine) traceSolve(cell, offered int, skipped, fallback bool) {
 // every queued cell's admissible region and solves its scheduler ILP
 // against the immutable frame-start ledger (the previous frame's
 // measurements), fanned out over the worker pool; a commit phase then
-// applies the grants in cell-index order. No cell's solution reads another
-// cell's grant, so the solves are independent and the output does not
-// depend on the worker count; the fixed commit order makes it
-// byte-identical as well. Cells may jointly overshoot a shared budget
+// applies the grants in cell-index order. The fan-out is one task per
+// active cell, or with Config.Tiles = T > 0 at most T tasks, each solving a
+// contiguous run of the active cells; either way a task solves on its
+// pool worker's scheduler clone and scratch, and the shared region cache
+// entry of a cell is touched only by that cell's solve. No cell's solution
+// reads another cell's grant, so the solves are independent and the output
+// depends on neither the worker nor the tile count; the fixed commit order
+// makes it byte-identical as well. Cells may jointly overshoot a shared budget
 // within the frame — exactly the paper's semantics, absorbed next frame
 // when the ledger is rebuilt from the granted bursts.
 func (e *Engine) admitSnapshot() {
@@ -879,18 +866,25 @@ func (e *Engine) admitSnapshot() {
 			e.active = append(e.active, k)
 		}
 	}
-	if len(e.active) == 0 {
+	n := len(e.active)
+	if n == 0 {
 		return
 	}
 	loads := e.loads.Values() // immutable until the commit phase
-	solve := func(w, i int) {
-		e.solveInto(&e.grants[i], e.active[i], e.workers[w], e.incr, loads)
+	tasks := n
+	if e.cfg.Tiles > 0 && e.cfg.Tiles < n {
+		tasks = e.cfg.Tiles
+	}
+	solve := func(w, t int) {
+		for i := t * n / tasks; i < (t+1)*n/tasks; i++ {
+			e.solveInto(&e.grants[i], e.active[i], e.workers[w], loads)
+		}
 	}
 	if e.pool != nil {
-		e.pool.Run(len(e.active), solve)
+		e.pool.Run(tasks, solve)
 	} else {
-		for i := range e.active {
-			solve(0, i)
+		for t := 0; t < tasks; t++ {
+			solve(0, t)
 		}
 	}
 	for i := range e.active {
@@ -903,9 +897,9 @@ func (e *Engine) admitSnapshot() {
 // whether the solve was skipped or fell back to greedy, the positive grants
 // and — when tracing — a deep copy of the solved problem. In snapshot mode
 // the scheduler is first reseeded for (frame, cell) (core.CellSeeder), so
-// the grants do not depend on which worker or tile solved the cell; the
+// the grants do not depend on which worker or task solved the cell; the
 // sequential scheduler keeps its stream across cells and frames.
-func (e *Engine) solveInto(g *cellGrants, k int, w *frameWorker, incr *measurement.IncrementalRegions, loads []float64) {
+func (e *Engine) solveInto(g *cellGrants, k int, w *frameWorker, loads []float64) {
 	g.cell = k
 	g.skipped = false
 	g.fallback = false
@@ -920,7 +914,7 @@ func (e *Engine) solveInto(g *cellGrants, k int, w *frameWorker, incr *measureme
 	if cs, ok := w.sched.(core.CellSeeder); ok && e.cfg.FrameMode.normalize() == FrameSnapshot {
 		cs.SeedCell(uint64(e.frame), uint64(k))
 	}
-	assignment, err := e.solveCell(k, &w.scratch, &w.regionB, w.sched, incr, loads)
+	assignment, err := e.solveCell(k, &w.scratch, &w.regionB, w.sched, loads)
 	if err != nil {
 		g.skipped = true
 		return
@@ -1064,12 +1058,11 @@ func (e *Engine) avgThroughputBatch(dst, csi []float64) []float64 {
 // solveCell builds cell k's admissible region for the gathered requests
 // against the given ledger and solves the scheduling problem with the given
 // scheduler and region builder. On the fast path the region comes from the
-// given incremental cache (the engine-wide one in sequential/snapshot mode,
-// the owning tile's in tiled mode; rebuilt through rb only when the cell's
+// engine's incremental cache (rebuilt through rb only when the cell's
 // request set, measurement versions or — reverse link — involved-cell loads
-// changed); the exact reference path passes nil and always rebuilds. The
+// changed); the exact reference path has no cache and always rebuilds. The
 // returned assignment indexes s.users.
-func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder, sched core.Scheduler, incr *measurement.IncrementalRegions, loads []float64) (core.Assignment, error) {
+func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder, sched core.Scheduler, loads []float64) (core.Assignment, error) {
 	var region measurement.Region
 	var err error
 	switch e.cfg.Direction {
@@ -1087,8 +1080,8 @@ func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder
 			MaxLoad:     maxLoad,
 			GammaS:      e.cfg.RatePlan.GammaS,
 		}
-		if incr != nil {
-			region, _, err = incr.ForwardCell(k, rb, state, s.fwd, s.vers)
+		if e.incr != nil {
+			region, _, err = e.incr.ForwardCell(k, rb, state, s.fwd, s.vers)
 		} else {
 			region, err = rb.Forward(state, s.fwd)
 		}
@@ -1099,8 +1092,8 @@ func (e *Engine) solveCell(k int, s *admitScratch, rb *measurement.RegionBuilder
 			GammaS:        e.cfg.RatePlan.GammaS,
 			ShadowMargin:  e.cfg.ShadowMargin,
 		}
-		if incr != nil {
-			region, _, err = incr.ReverseCell(k, rb, state, s.rev, s.vers)
+		if e.incr != nil {
+			region, _, err = e.incr.ReverseCell(k, rb, state, s.rev, s.vers)
 		} else {
 			region, err = rb.Reverse(state, s.rev)
 		}

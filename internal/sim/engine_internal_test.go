@@ -270,14 +270,24 @@ func queueTestRequest(e *Engine, u *dataUser, sizeBits float64) *traffic.BurstRe
 	return req
 }
 
-// admitModes runs the sub-test once per frame mode so the edge cases cover
-// both the sequential and the snapshot admission paths.
+// admitModes runs the sub-test once per admission path so the edge cases
+// cover the sequential loop and the snapshot loop, the latter with both its
+// per-cell and its chunked (Tiles > 0) dispatch.
 func admitModes(t *testing.T, mutate func(*Config), fn func(t *testing.T, e *Engine)) {
 	t.Helper()
-	for _, mode := range []FrameMode{FrameSequential, FrameSnapshot} {
-		t.Run(string(mode), func(t *testing.T) {
+	for _, m := range []struct {
+		name  string
+		mode  FrameMode
+		tiles int
+	}{
+		{"sequential", FrameSequential, 0},
+		{"snapshot", FrameSnapshot, 0},
+		{"snapshot-tiles3", FrameSnapshot, 3},
+	} {
+		t.Run(m.name, func(t *testing.T) {
 			e := newTestEngine(t, func(c *Config) {
-				c.FrameMode = mode
+				c.FrameMode = m.mode
+				c.Tiles = m.tiles
 				c.FrameParallel = 2
 				if mutate != nil {
 					mutate(c)
@@ -398,7 +408,7 @@ func TestSnapshotSolvePhaseLeavesLedgerUntouched(t *testing.T) {
 	if !e.gatherCell(u.queuedCell, s, e.loads.Values()) {
 		t.Fatal("gather found nothing to schedule")
 	}
-	if _, err := e.solveCell(u.queuedCell, s, &e.workers[0].regionB, e.workers[0].sched, e.incr, e.loads.Values()); err != nil {
+	if _, err := e.solveCell(u.queuedCell, s, &e.workers[0].regionB, e.workers[0].sched, e.loads.Values()); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range e.loads.Values() {

@@ -1,9 +1,8 @@
 package sim
 
-// Tests for the tiled snapshot mode and the windowed (city-scale) physics:
-// the tile-count determinism gate mirroring the FrameParallel gate, the
-// full-width identity of the windowed path, and the halo containment bound
-// the tile decomposition documents.
+// Tests for the chunked (Tiles > 0) snapshot dispatch and the windowed
+// (city-scale) physics: the tile-count determinism gate mirroring the
+// FrameParallel gate, and the full-width identity of the windowed path.
 
 import (
 	"context"
@@ -28,13 +27,13 @@ func runTraced(t *testing.T, cfg Config) ([6]float64, []trace.Record) {
 	return fingerprint(m), mem.Records
 }
 
-// TestTileCountDeterminism is the determinism contract of the tiled engine,
-// mirroring TestSnapshotModeIdenticalAcrossWorkerCounts: every cell is
-// solved against the immutable frame-start ledger by exactly one tile, its
-// scheduler RNG is reseeded per (frame, cell) and grants commit in global
-// cell order, so metrics AND traces are exactly identical for any tile
-// count — including tiles=1 versus the untiled snapshot path — at any
-// solve-phase parallelism.
+// TestTileCountDeterminism is the determinism contract of the chunked
+// snapshot dispatch, mirroring TestSnapshotModeIdenticalAcrossWorkerCounts:
+// every cell is solved against the immutable frame-start ledger by exactly
+// one task, its scheduler RNG is reseeded per (frame, cell) and grants
+// commit in global cell order, so metrics AND traces are exactly identical
+// for any tile count — including tiles=1 versus the per-cell dispatch — at
+// any solve-phase parallelism.
 func TestTileCountDeterminism(t *testing.T) {
 	for _, dir := range []Direction{Forward, Reverse} {
 		base := quickConfig()
@@ -217,53 +216,6 @@ func TestIdentityWindowBeyondMaxWidth(t *testing.T) {
 		}
 		if len(u.pilots) == 0 || len(u.reduced) == 0 {
 			t.Fatalf("user %d holds no measurements after the run", u.id)
-		}
-	}
-}
-
-// TestTiledHaloContainment verifies the bound initTiles sizes the halos
-// with: every cell a user's measurements can name (its candidate window)
-// lies inside the span-plus-halo of the tile owning the user's host cell.
-// That is the guarantee that lets a distributed port exchange only the halo
-// loads at frame boundaries.
-func TestTiledHaloContainment(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Rings = 4
-	cfg.SimTime = 2
-	cfg.DataUsersPerCell = 2
-	cfg.VoiceUsersPerCell = 1
-	cfg.PilotCells = 19
-	cfg.FrameMode = FrameSnapshot
-	cfg.FrameParallel = 1
-	cfg.Tiles = 5
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if len(e.tiles) != 5 {
-		t.Fatalf("built %d tiles, want 5", len(e.tiles))
-	}
-	inHalo := make([]map[int]bool, len(e.tiles))
-	for ti, tile := range e.tiles {
-		inHalo[ti] = make(map[int]bool, len(tile.halo))
-		for _, k := range tile.halo {
-			inHalo[ti][k] = true
-		}
-	}
-	frames := int(cfg.SimTime / cfg.FrameLength)
-	for f := 0; f < frames; f++ {
-		e.now = float64(f) * cfg.FrameLength
-		e.step()
-		for _, u := range e.users {
-			ti := e.plan.TileOf(u.hostCell)
-			span := e.plan.Span(ti)
-			for _, c := range u.cand {
-				if !span.Contains(int(c)) && !inHalo[ti][int(c)] {
-					t.Fatalf("frame %d: user %d (host %d, tile %d) window cell %d outside span %+v + halo",
-						f, u.id, u.hostCell, ti, c, span)
-				}
-			}
 		}
 	}
 }

@@ -46,11 +46,6 @@ type Index struct {
 	// cand[b*window : (b+1)*window].
 	window int
 	cand   []int32
-
-	// candRadius is the maximum distance from any bucket centre to any of
-	// its candidate cells — the geometric reach of the candidate windows,
-	// used to size interference halos.
-	candRadius float64
 }
 
 // New builds the index for a layout with per-bucket candidate windows of
@@ -151,9 +146,6 @@ func (ix *Index) buildCandidates() {
 		row := ix.cand[b*ix.window : (b+1)*ix.window]
 		for i := range row {
 			row[i] = scratch[i].k
-			if scratch[i].d > ix.candRadius {
-				ix.candRadius = scratch[i].d
-			}
 		}
 		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
 	}
@@ -164,18 +156,6 @@ func (ix *Index) Window() int { return ix.window }
 
 // NumBuckets returns the number of grid buckets.
 func (ix *Index) NumBuckets() int { return ix.nx * ix.ny }
-
-// CandidateRadius returns the maximum distance from a bucket centre to any
-// of its candidate cells. Every cell a bucket's users can measure lies
-// within this radius of the bucket centre, which bounds the interference
-// halo a grid tile needs (see internal/shard).
-func (ix *Index) CandidateRadius() float64 { return ix.candRadius }
-
-// BucketDiagonal returns half the bucket diagonal: the maximum distance
-// from a point to the centre of its own bucket.
-func (ix *Index) BucketDiagonal() float64 {
-	return math.Sqrt(ix.bw*ix.bw+ix.bh*ix.bh) / 2
-}
 
 // bucketXY maps a point to grid coordinates: modulo the torus period under
 // wrap-around, clamped to the box otherwise.

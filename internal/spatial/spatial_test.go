@@ -130,30 +130,3 @@ func TestCandidatesContainNearest(t *testing.T) {
 		}
 	}
 }
-
-func TestCandidateRadiusBounds(t *testing.T) {
-	l := cellular.NewHexLayout(3, 800, true)
-	ix := New(l, 12)
-	// Every candidate of a point's bucket lies within CandidateRadius of the
-	// bucket centre, hence within CandidateRadius + BucketDiagonal of the
-	// point itself — the bound the tile halo sizing relies on.
-	w, h := l.Bounds()
-	maxD := 0.0
-	src := rng.New(3)
-	for i := 0; i < 500; i++ {
-		p := cellular.Point{X: src.Uniform(0, w), Y: src.Uniform(0, h)}
-		for _, c := range ix.Candidates(ix.BucketOf(p)) {
-			d := l.Distance(p, int(c))
-			if d > maxD {
-				maxD = d
-			}
-			if d > ix.CandidateRadius()+ix.BucketDiagonal()+1e-9 {
-				t.Fatalf("candidate %d at %.1f m from %v exceeds CandidateRadius %.1f + BucketDiagonal %.1f",
-					c, d, p, ix.CandidateRadius(), ix.BucketDiagonal())
-			}
-		}
-	}
-	if maxD == 0 {
-		t.Fatal("no candidate distances probed")
-	}
-}
